@@ -1,6 +1,6 @@
 # Convenience targets for the Methuselah Flash reproduction.
 
-.PHONY: install test ci bench bench-smoke bench-full kernel-equivalence experiments experiments-full examples clean
+.PHONY: install test ci bench bench-smoke bench-full perfbench-test kernel-equivalence experiments experiments-full examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -26,6 +26,11 @@ bench:
 # BENCH_coding.json at the repo root.  CI runs this and uploads the JSON.
 bench-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/test_bench_batch.py benchmarks/test_bench_viterbi.py benchmarks/test_bench_sweep.py benchmarks/test_bench_obs.py benchmarks/test_bench_server.py -q
+
+# Unit tests of the repository benchmark harness (perfbench/); tier-1
+# testpaths cover tests/ only.
+perfbench-test:
+	PYTHONPATH=src python -m pytest perfbench/tests -q
 
 # Bit-identity of every ACS kernel backend against the reference kernel.
 # Runs once with the backend forced to numpy and once under the default

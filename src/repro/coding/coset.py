@@ -21,7 +21,7 @@ from repro.coding.page_code import PageCode
 from repro.coding.registry import get_code
 from repro.coding.syndrome import SyndromeFormer
 from repro.coding.viterbi import CosetViterbi
-from repro.errors import CodingError, ConfigurationError, UnwritableError
+from repro.errors import CodingError, ConfigurationError
 from repro.obs.tracing import span as _span
 from repro.vcell import VCellArray, VCellSpec
 
@@ -119,7 +119,8 @@ class ConvolutionalCosetCode(PageCode):
 
     @property
     def last_write_cost(self) -> float:
-        """Metric cost of the most recent successful encode."""
+        """Metric cost of the most recent successful encode (the last
+        writable lane of a batched one)."""
         return self._last_cost
 
     @property
@@ -129,26 +130,6 @@ class ConvolutionalCosetCode(PageCode):
         Unwritable lanes hold ``inf``.
         """
         return self._last_costs.copy()
-
-    def _step_levels(self, page: np.ndarray) -> np.ndarray:
-        levels = self.varray.levels(page)
-        return levels[: self.used_cells].reshape(self.steps, self.cells_per_step)
-
-    def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
-        """Encode one page — a ``B = 1`` wrapper over :meth:`encode_batch`."""
-        data = np.asarray(dataword, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"dataword must be {self.dataword_bits} bits, got {data.shape}"
-            )
-        page = np.asarray(page, dtype=np.uint8)
-        new_pages, writable = self.encode_batch(data[None, :], page[None, :])
-        if not writable[0]:
-            raise UnwritableError(
-                "no codeword in the coset is writable onto the current page"
-            )
-        self._last_cost = float(self._last_costs[0])
-        return new_pages[0]
 
     def encode_batch(
         self, datawords: np.ndarray, pages: np.ndarray
@@ -160,12 +141,7 @@ class ConvolutionalCosetCode(PageCode):
         coset has no writable member keep their previous bits and come back
         False in the mask.
         """
-        data = np.asarray(datawords, dtype=np.uint8)
-        if data.ndim != 2 or data.shape[1] != self.dataword_bits:
-            raise CodingError(
-                f"datawords must be (lanes, {self.dataword_bits}) bits, "
-                f"got {data.shape}"
-            )
+        data = self._check_datawords(datawords)
         pages = np.asarray(pages, dtype=np.uint8)
         lanes = len(data)
         if len(pages) != lanes:
@@ -186,6 +162,10 @@ class ConvolutionalCosetCode(PageCode):
             )
             result = self.viterbi.search_batch(rep_values, step_levels)
             self._last_costs = result.total_costs
+            if result.writable.any():
+                self._last_cost = float(
+                    result.total_costs[result.writable][-1]
+                )
             # Unwritable lanes are reprogrammed to their current levels (a
             # no-op) so their bits pass through unchanged.
             targets = all_levels.copy()
@@ -196,10 +176,6 @@ class ConvolutionalCosetCode(PageCode):
             )
             new_pages = self.varray.program_levels_batch(pages, targets)
             return new_pages, result.writable
-
-    def decode(self, page: np.ndarray) -> np.ndarray:
-        """Decode one page — a ``B = 1`` wrapper over :meth:`decode_batch`."""
-        return self.decode_batch(np.asarray(page, dtype=np.uint8)[None, :])[0]
 
     def decode_batch(self, pages: np.ndarray) -> np.ndarray:
         """Decode ``B`` pages to their ``(B, dataword_bits)`` datawords."""

@@ -33,7 +33,7 @@ import numpy as np
 from repro.coding.coset import ConvolutionalCosetCode
 from repro.coding.hamming import HammingSecded
 from repro.coding.page_code import PageCode
-from repro.errors import CodingError, ConfigurationError
+from repro.errors import ConfigurationError
 
 __all__ = ["EccIntegratedCosetCode", "EccDecodeResult"]
 
@@ -95,26 +95,14 @@ class EccIntegratedCosetCode(PageCode):
 
     # -- interleaving ---------------------------------------------------------
 
-    def _interleave(self, coded: np.ndarray) -> np.ndarray:
+    def _interleave_batch(self, coded: np.ndarray) -> np.ndarray:
         """Spread Hamming blocks so syndrome bursts hit each block once.
 
-        Bit ``i`` of block ``b`` goes to inner position ``i * num_blocks +
-        b``: any run of ``num_blocks`` consecutive inner bits touches each
-        block at most once.
+        ``coded`` is ``(B, blocks * block_bits)``.  Bit ``i`` of block ``b``
+        goes to inner position ``i * num_blocks + b``: any run of
+        ``num_blocks`` consecutive inner bits touches each block at most
+        once.
         """
-        matrix = coded.reshape(self.num_blocks, self.hamming.block_bits)
-        inner = np.zeros(self.inner.dataword_bits, dtype=np.uint8)
-        inner[: self._used_inner_bits] = matrix.T.reshape(-1)
-        return inner
-
-    def _deinterleave(self, inner: np.ndarray) -> np.ndarray:
-        matrix = inner[: self._used_inner_bits].reshape(
-            self.hamming.block_bits, self.num_blocks
-        )
-        return matrix.T.reshape(-1)
-
-    def _interleave_batch(self, coded: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_interleave`: ``(B, blocks * block_bits)`` in."""
         lanes = len(coded)
         matrix = coded.reshape(lanes, self.num_blocks, self.hamming.block_bits)
         inner = np.zeros((lanes, self.inner.dataword_bits), dtype=np.uint8)
@@ -132,59 +120,42 @@ class EccIntegratedCosetCode(PageCode):
 
     # -- PageCode interface ----------------------------------------------------
 
-    def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
-        data = np.asarray(dataword, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"dataword must be {self.dataword_bits} bits, got {data.shape}"
-            )
-        coded = self.hamming.encode_blocks(
-            data.reshape(self.num_blocks, self.hamming.data_bits)
-        ).reshape(-1)
-        return self.inner.encode(self._interleave(coded), page)
-
     def encode_batch(
         self, datawords: np.ndarray, pages: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Hamming-protect and coset-encode ``B`` pages in lockstep."""
-        data = np.asarray(datawords, dtype=np.uint8)
-        if data.ndim != 2 or data.shape[1] != self.dataword_bits:
-            raise CodingError(
-                f"datawords must be (lanes, {self.dataword_bits}) bits, "
-                f"got {data.shape}"
-            )
+        data = self._check_datawords(datawords)
         lanes = len(data)
         coded = self.hamming.encode_blocks(
             data.reshape(lanes, self.num_blocks, self.hamming.data_bits)
         ).reshape(lanes, -1)
         return self.inner.encode_batch(self._interleave_batch(coded), pages)
 
-    def decode(self, page: np.ndarray) -> np.ndarray:
-        """Plain decode (single corrected errors are transparent)."""
-        return self.decode_with_report(page).data
-
-    def decode_batch(self, pages: np.ndarray) -> np.ndarray:
-        """Decode ``B`` pages, applying single-error correction per block."""
+    def _decode_blocks(self, pages: np.ndarray):
+        """Per-lane ``(data, corrected, uncorrectable)`` of ``B`` pages."""
         pages = np.asarray(pages, dtype=np.uint8)
         lanes = len(pages)
         coded = self._deinterleave_batch(self.inner.decode_batch(pages))
-        data, _, _ = self.hamming.decode_blocks(
+        data, corrected, uncorrectable = self.hamming.decode_blocks(
             coded.reshape(lanes, self.num_blocks, self.hamming.block_bits)
         )
-        return data.reshape(lanes, -1)
+        return data.reshape(lanes, -1), corrected, uncorrectable
+
+    def decode_batch(self, pages: np.ndarray) -> np.ndarray:
+        """Decode ``B`` pages, applying single-error correction per block."""
+        return self._decode_blocks(pages)[0]
 
     def decode_with_report(self, page: np.ndarray) -> EccDecodeResult:
-        """Decode with full ECC accounting.
+        """Decode one page with full ECC accounting.
 
         One corrupted v-cell anywhere on the page is corrected; wider
         corruption is reported via ``detected_uncorrectable``.
         """
-        coded = self._deinterleave(self.inner.decode(page))
-        data, corrected, uncorrectable = self.hamming.decode_blocks(
-            coded.reshape(self.num_blocks, self.hamming.block_bits)
+        data, corrected, uncorrectable = self._decode_blocks(
+            np.asarray(page, dtype=np.uint8)[None, :]
         )
         return EccDecodeResult(
-            data=data.reshape(-1),
+            data=data[0],
             corrected_bits=int(corrected.sum()),
             detected_uncorrectable=int(uncorrectable.sum()),
         )
@@ -192,10 +163,6 @@ class EccIntegratedCosetCode(PageCode):
     def check(self, page: np.ndarray) -> bool:
         """True when the page reads back with no corrections needed."""
         return self.decode_with_report(page).clean
-
-    @property
-    def rate(self) -> float:
-        return self.dataword_bits / self.page_bits
 
     @property
     def ecc_overhead(self) -> float:

@@ -72,10 +72,7 @@ class HammingSecded:
             raise ConfigurationError(
                 f"blocks hold {self.data_bits} data bits, got {data.shape}"
             )
-        parity = (data @ self._data_cols) % 2  # (r,)
-        word = np.concatenate([data, parity])
-        overall = word.sum() % 2
-        return np.concatenate([word, [overall]]).astype(np.uint8)
+        return self.encode_blocks(data)
 
     def decode_block(self, block: np.ndarray) -> DecodeReport:
         """Decode one codeword, correcting single and flagging double errors."""
@@ -84,31 +81,17 @@ class HammingSecded:
             raise ConfigurationError(
                 f"blocks are {self.block_bits} bits, got {block.shape}"
             )
-        word = block[:-1].copy()
-        overall_ok = block.sum() % 2 == 0
-        syndrome = (word @ self._columns) % 2  # (r,)
-        syndrome_value = int((syndrome * (1 << np.arange(self.r))).sum())
-        corrected = 0
-        uncorrectable = 0
-        if syndrome_value != 0:
-            if overall_ok:
-                uncorrectable = 1  # double error: syndrome set, parity even
-            else:
-                position = int(np.flatnonzero(self._order == syndrome_value - 1)[0])
-                word[position] ^= 1
-                corrected = 1
-        elif not overall_ok:
-            corrected = 1  # the overall parity bit itself flipped
+        data, corrected, uncorrectable = self.decode_blocks(block)
         return DecodeReport(
-            data=word[: self.data_bits],
-            corrected_bits=corrected,
-            detected_uncorrectable=uncorrectable,
+            data=data,
+            corrected_bits=int(corrected),
+            detected_uncorrectable=int(uncorrectable),
         )
 
     # -- array-wise helpers ---------------------------------------------------
 
     def encode_blocks(self, data: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`encode_block` over any leading axes.
+        """Encode blocks over any leading axes.
 
         ``data`` is ``(..., data_bits)``; the result is
         ``(..., block_bits)``.
@@ -126,7 +109,8 @@ class HammingSecded:
     def decode_blocks(
         self, blocks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`decode_block` over any leading axes.
+        """Decode blocks over any leading axes, correcting single and
+        flagging double errors.
 
         ``blocks`` is ``(..., block_bits)``.  Returns ``(data, corrected,
         uncorrectable)`` where ``data`` is ``(..., data_bits)`` and the two
@@ -166,13 +150,7 @@ class HammingSecded:
         blocks = self.blocks_for(len(data))
         padded = np.zeros(blocks * self.data_bits, dtype=np.uint8)
         padded[: len(data)] = data
-        out = np.concatenate(
-            [
-                self.encode_block(padded[i * self.data_bits : (i + 1) * self.data_bits])
-                for i in range(blocks)
-            ]
-        )
-        return out
+        return self.encode_blocks(padded.reshape(blocks, self.data_bits)).reshape(-1)
 
     def decode(self, coded: np.ndarray, data_bits: int) -> DecodeReport:
         """Decode a blockwise-encoded array back to ``data_bits`` bits."""
@@ -183,20 +161,13 @@ class HammingSecded:
                 f"expected {blocks * self.block_bits} coded bits for "
                 f"{data_bits} data bits, got {len(coded)}"
             )
-        datas = []
-        corrected = 0
-        uncorrectable = 0
-        for i in range(blocks):
-            report = self.decode_block(
-                coded[i * self.block_bits : (i + 1) * self.block_bits]
-            )
-            datas.append(report.data)
-            corrected += report.corrected_bits
-            uncorrectable += report.detected_uncorrectable
+        data, corrected, uncorrectable = self.decode_blocks(
+            coded.reshape(blocks, self.block_bits)
+        )
         return DecodeReport(
-            data=np.concatenate(datas)[:data_bits],
-            corrected_bits=corrected,
-            detected_uncorrectable=uncorrectable,
+            data=data.reshape(-1)[:data_bits],
+            corrected_bits=int(corrected.sum()),
+            detected_uncorrectable=int(uncorrectable.sum()),
         )
 
     @property

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from repro.coding.page_code import PageCode
-from repro.errors import CodingError, ConfigurationError, UnwritableError
+from repro.errors import CodingError, ConfigurationError
 from repro.vcell import VCellArray, VCellSpec
 
 __all__ = ["RankModulationCode", "permutation_from_index", "index_from_permutation"]
@@ -91,77 +91,103 @@ class RankModulationCode(PageCode):
         self._max_level = vcell_levels - 1
 
     # -- permutation <-> charges ------------------------------------------------
+    #
+    # Every step below runs over all groups of all lanes at once; the only
+    # Python loops walk the ``group_cells`` rank positions.
 
-    @staticmethod
-    def _ranks(charges: np.ndarray) -> tuple[int, ...]:
-        """Permutation encoded by a charge vector (ties broken by index).
+    def _group_charges(self, pages: np.ndarray) -> np.ndarray:
+        """Charges ``([B,] num_groups, group_cells)`` of one page or a
+        ``(B, page_bits)`` batch."""
+        pages = np.asarray(pages, dtype=np.uint8)
+        levels = self.varray.levels_batch(np.atleast_2d(pages))
+        used = self.num_groups * self.group_cells
+        return levels[:, :used].reshape(
+            pages.shape[:-1] + (self.num_groups, self.group_cells)
+        )
 
-        ``result[r]`` is the cell occupying rank ``r`` (bottom first).
-        Stable tie-breaking makes the erased state the identity.
-        """
-        order = np.argsort(charges, kind="stable")
-        return tuple(int(cell) for cell in order)
+    def _permutations(self, indices: np.ndarray) -> np.ndarray:
+        """:func:`permutation_from_index` over an array of indices."""
+        n = self.group_cells
+        remaining = np.ones(indices.shape + (n,), dtype=bool)
+        permutations = np.empty(indices.shape + (n,), dtype=np.int64)
+        for position in range(n):
+            digit, indices = np.divmod(indices, math.factorial(n - position - 1))
+            # The digit-th cell not yet placed (cells stay in index order).
+            unused_rank = np.cumsum(remaining, axis=-1) - 1
+            cell = np.argmax(remaining & (unused_rank == digit[..., None]), axis=-1)
+            permutations[..., position] = cell
+            np.put_along_axis(remaining, cell[..., None], False, axis=-1)
+        return permutations
 
     def _push_to_order(
-        self, charges: np.ndarray, permutation: tuple[int, ...]
-    ) -> np.ndarray:
-        """Minimal monotone charge updates realizing ``permutation``.
+        self, charges: np.ndarray, permutations: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Minimal monotone charge updates realizing ``permutations``.
 
-        Walk the target permutation bottom-to-top; every cell whose charge
+        Walk each target permutation bottom-to-top; every cell whose charge
         does not already exceed the running floor is pushed just above it
-        (the push-to-top primitive generalized to push-above).
+        (the push-to-top primitive generalized to push-above).  Returns the
+        new charges and each group's top charge.
         """
         new_charges = charges.copy()
-        floor = -1
-        for cell in permutation:
-            if new_charges[cell] > floor:
-                floor = int(new_charges[cell])
-            else:
-                floor += 1
-                new_charges[cell] = floor
-        if floor > self._max_level:
-            raise UnwritableError(
-                "rank-modulation push exceeds the top level; erase required"
-            )
-        return new_charges
+        floor = np.full(charges.shape[:-1], -1, dtype=np.int64)
+        for rank in range(self.group_cells):
+            cell = permutations[..., rank, None]
+            charge = np.take_along_axis(new_charges, cell, axis=-1)[..., 0]
+            floor = np.where(charge > floor, charge, floor + 1)
+            np.put_along_axis(new_charges, cell, floor[..., None], axis=-1)
+        return new_charges, floor
 
     # -- PageCode interface ------------------------------------------------------
 
-    def _group_charges(self, page: np.ndarray) -> np.ndarray:
-        levels = self.varray.levels(page)
+    def encode_batch(
+        self, datawords: np.ndarray, pages: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Push every group to the permutation its bits index; a lane whose
+        push would exceed the top level is unwritable."""
+        data = self._check_datawords(datawords)
+        pages = np.asarray(pages, dtype=np.uint8)
+        lanes = len(data)
+        levels = self.varray.levels_batch(pages)
         used = self.num_groups * self.group_cells
-        return levels[:used].reshape(self.num_groups, self.group_cells)
-
-    def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
-        data = np.asarray(dataword, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"dataword must be {self.dataword_bits} bits, got {data.shape}"
-            )
-        charges = self._group_charges(page)
-        values = data.reshape(self.num_groups, self.bits_per_group)
+        charges = levels[:, :used].reshape(
+            lanes, self.num_groups, self.group_cells
+        )
         weights = 1 << np.arange(self.bits_per_group, dtype=np.int64)
-        indices = values.astype(np.int64) @ weights
-        new_charges = charges.copy()
-        for group in range(self.num_groups):
-            permutation = permutation_from_index(
-                int(indices[group]), self.group_cells
+        indices = (
+            data.reshape(lanes, self.num_groups, self.bits_per_group).astype(
+                np.int64
             )
-            new_charges[group] = self._push_to_order(
-                charges[group], permutation
-            )
-        levels = self.varray.levels(page).copy()
-        used = self.num_groups * self.group_cells
-        levels[:used] = new_charges.reshape(-1)
-        return self.varray.program_levels(page, levels)
+            @ weights
+        )
+        new_charges, top = self._push_to_order(
+            charges, self._permutations(indices)
+        )
+        writable = (top <= self._max_level).all(axis=1)
+        targets = levels.copy()
+        targets[:, :used] = np.where(
+            writable[:, None], new_charges.reshape(lanes, -1), levels[:, :used]
+        )
+        return self.varray.program_levels_batch(pages, targets), writable
 
-    def decode(self, page: np.ndarray) -> np.ndarray:
-        charges = self._group_charges(page)
-        bits = np.zeros((self.num_groups, self.bits_per_group), dtype=np.uint8)
-        for group in range(self.num_groups):
-            index = index_from_permutation(self._ranks(charges[group]))
-            # Indices >= 2^bits cannot be produced by encode (every stored
-            # permutation comes from a bits_per_group-bit value).
-            for bit in range(self.bits_per_group):
-                bits[group, bit] = (index >> bit) & 1
-        return bits.reshape(-1)
+    def decode_batch(self, pages: np.ndarray) -> np.ndarray:
+        """Read each group's charge ranking back as its Lehmer index.
+
+        Ties break by cell index, so the erased state is the identity.
+        Indices >= 2^bits cannot be produced by encode (every stored
+        permutation comes from a ``bits_per_group``-bit value).
+        """
+        charges = self._group_charges(pages)
+        n = self.group_cells
+        # order[..., r] is the cell occupying rank r (bottom first).
+        order = np.argsort(charges, axis=-1, kind="stable")
+        # Lehmer digit of position p: later positions holding smaller cells.
+        later_smaller = (order[..., None, :] < order[..., :, None]) & np.triu(
+            np.ones((n, n), dtype=bool), k=1
+        )
+        factorials = np.array(
+            [math.factorial(n - p - 1) for p in range(n)], dtype=np.int64
+        )
+        indices = later_smaller.sum(axis=-1) @ factorials
+        bits = (indices[..., None] >> np.arange(self.bits_per_group)) & 1
+        return bits.reshape(len(charges), -1).astype(np.uint8)

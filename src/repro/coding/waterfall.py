@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.coding.page_code import PageCode
-from repro.errors import CodingError, UnwritableError
 from repro.vcell import VCellArray, VCellSpec
 
 __all__ = ["WaterfallCode"]
@@ -26,20 +25,17 @@ class WaterfallCode(PageCode):
         self.page_bits = int(page_bits)
         self.dataword_bits = self.varray.num_cells
 
-    def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
-        data = np.asarray(dataword, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"dataword must be {self.dataword_bits} bits, got {data.shape}"
-            )
-        levels = self.varray.levels(page)
-        flips = (levels % 2) != data
-        targets = levels + flips
-        if targets.max(initial=0) > self.varray.spec.max_level:
-            raise UnwritableError(
-                "a saturated v-cell would need its bit flipped; erase required"
-            )
-        return self.varray.program_levels(page, targets)
+    def encode_batch(
+        self, datawords: np.ndarray, pages: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Raise every cell whose parity differs from its data bit by one
+        level; a lane needing a saturated cell flipped is unwritable."""
+        data = self._check_datawords(datawords)
+        levels = self.varray.levels_batch(pages)
+        targets = levels + ((levels % 2) != data)
+        writable = ~(targets > self.varray.spec.max_level).any(axis=1)
+        targets = np.where(writable[:, None], targets, levels)
+        return self.varray.program_levels_batch(pages, targets), writable
 
-    def decode(self, page: np.ndarray) -> np.ndarray:
-        return (self.varray.levels(page) % 2).astype(np.uint8)
+    def decode_batch(self, pages: np.ndarray) -> np.ndarray:
+        return (self.varray.levels_batch(pages) % 2).astype(np.uint8)

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.bitops import pack_values, pack_values_axis, unpack_values, unpack_values_axis
+from repro.coding.bitops import pack_values_axis, unpack_values_axis
 from repro.coding.page_code import PageCode
-from repro.errors import CodingError, UnwritableError
+from repro.errors import CodingError
 from repro.vcell import VCellArray, VCellSpec
 
 __all__ = ["WomVCellCode", "WOM_VALUE_OF_PATTERN", "WOM_NEXT_PATTERN"]
@@ -73,40 +73,8 @@ class WomVCellCode(PageCode):
         self.num_cells = self.varray.num_cells
         self.dataword_bits = self.num_cells * self.BITS_PER_VALUE
 
-    def _patterns(self, page: np.ndarray) -> np.ndarray:
-        """Per-cell 3-bit patterns (LSB = first bit of the cell's group)."""
-        bits = np.asarray(page, dtype=np.uint8)
-        if bits.shape != (self.page_bits,):
-            raise CodingError(
-                f"expected a page of {self.page_bits} bits, got {bits.shape}"
-            )
-        return pack_values(bits[: self.varray.used_bits], 3)
-
-    def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
-        data = np.asarray(dataword, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"dataword must be {self.dataword_bits} bits, got {data.shape}"
-            )
-        values = pack_values(data, self.BITS_PER_VALUE)
-        patterns = self._patterns(page)
-        targets = WOM_NEXT_PATTERN[patterns, values]
-        if (targets < 0).any():
-            raise UnwritableError(
-                "a v-cell has no reachable pattern for its new value; "
-                "erase required"
-            )
-        new_page = np.asarray(page, dtype=np.uint8).copy()
-        new_page[: self.varray.used_bits] = unpack_values(targets, 3)
-        return new_page
-
-    def decode(self, page: np.ndarray) -> np.ndarray:
-        values = WOM_VALUE_OF_PATTERN[self._patterns(page)]
-        return unpack_values(values, self.BITS_PER_VALUE)
-
-    # -- batched interface -----------------------------------------------------
-
     def _patterns_batch(self, pages: np.ndarray) -> np.ndarray:
+        """Per-cell 3-bit patterns (LSB = first bit of the cell's group)."""
         bits = np.asarray(pages, dtype=np.uint8)
         if bits.ndim != 2 or bits.shape[1] != self.page_bits:
             raise CodingError(
@@ -118,18 +86,14 @@ class WomVCellCode(PageCode):
     def encode_batch(
         self, datawords: np.ndarray, pages: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Native batched WOM write: all lanes advance in one table gather.
+        """WOM write: all lanes advance in one table gather.
 
         Lanes with an unreachable cell pattern keep their previous bits and
         come back False in the ``writable`` mask.
         """
-        data = np.asarray(datawords, dtype=np.uint8)
-        if data.ndim != 2 or data.shape[1] != self.dataword_bits:
-            raise CodingError(
-                f"datawords must be (lanes, {self.dataword_bits}) bits, "
-                f"got {data.shape}"
-            )
-        values = pack_values_axis(data, self.BITS_PER_VALUE)
+        values = pack_values_axis(
+            self._check_datawords(datawords), self.BITS_PER_VALUE
+        )
         patterns = self._patterns_batch(pages)
         targets = WOM_NEXT_PATTERN[patterns, values]
         writable = ~(targets < 0).any(axis=1)

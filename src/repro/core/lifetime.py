@@ -6,15 +6,13 @@ representative).  The number of writes accepted before the scheme demands an
 erase, averaged over erase cycles, is the *lifetime gain* relative to
 uncoded flash (which accepts exactly one).
 
-Two drivers implement the methodology:
-
-* :class:`LifetimeSimulator` streams datawords into one page — the paper's
-  literal procedure, kept as the scalar reference;
-* :class:`BatchLifetimeSimulator` runs ``B`` independent pages in lockstep
-  through the schemes' batched write path.  Each lane owns its own seeded
-  generator, and a lane whose page demands an erase is recycled in place,
-  so lane ``i`` of a batch reproduces the scalar simulation with lane
-  ``i``'s seed bit for bit regardless of the batch size.
+One engine implements the methodology.  :class:`BatchLifetimeSimulator`
+runs ``B`` independent pages in lockstep through the schemes' batched write
+path.  Each lane owns its own seeded generator, and a lane whose page
+demands an erase is recycled in place, so a lane's results depend only on
+its seed, never on the batch size.  :class:`LifetimeSimulator` — the
+paper's literal procedure of streaming datawords into one page — is the
+``B = 1`` view of that engine.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 
 from repro.core.analysis import UpdateTrace
 from repro.core.scheme import RewritingScheme
-from repro.errors import ConfigurationError, DecodingError, UnwritableError
+from repro.errors import ConfigurationError, DecodingError
 from repro.obs import registry as _metrics
 from repro.obs.tracing import span as _span
 
@@ -168,6 +166,9 @@ def _validate_defects(scheme, varray, defect_fraction: float) -> None:
 class LifetimeSimulator:
     """Streams random datawords into one simulated page until it wears out.
 
+    A ``B = 1`` view of :class:`BatchLifetimeSimulator`: the single lane
+    runs the same lockstep engine, seeded with ``seed``.
+
     Parameters
     ----------
     scheme:
@@ -200,75 +201,19 @@ class LifetimeSimulator:
         defect_fraction: float = 0.0,
     ) -> None:
         self.scheme = scheme
-        self.rng = _as_rng(seed)
-        self.verify_reads = verify_reads
-        varray = getattr(getattr(scheme, "code", None), "varray", None)
-        if num_levels is None:
-            num_levels = varray.spec.levels if varray is not None else 4
-        self.num_levels = num_levels
-        _validate_defects(scheme, varray, defect_fraction)
-        self.defect_fraction = defect_fraction
-        self._varray = varray
+        self._lane = BatchLifetimeSimulator(
+            scheme,
+            seeds=[seed],
+            verify_reads=verify_reads,
+            num_levels=num_levels,
+            defect_fraction=defect_fraction,
+        )
 
     def run(
         self, cycles: int = 5, max_writes_per_cycle: int = 100_000
     ) -> LifetimeResult:
         """Simulate ``cycles`` erase cycles; return gains and traces."""
-        if cycles < 1:
-            raise ConfigurationError("need at least one erase cycle")
-        writes_per_cycle: list[int] = []
-        trace = UpdateTrace()
-        with _span(
-            "lifetime.run", scheme=self.scheme.name, lanes=1, cycles=cycles
-        ):
-            for _ in range(cycles):
-                writes_per_cycle.append(
-                    self._run_cycle(trace, max_writes_per_cycle)
-                )
-                _CYCLES.inc()
-        return LifetimeResult(
-            scheme_name=self.scheme.name,
-            rate=self.scheme.rate,
-            writes_per_cycle=tuple(writes_per_cycle),
-            trace=trace,
-        )
-
-    def _run_cycle(self, trace: UpdateTrace, max_writes: int) -> int:
-        scheme = self.scheme
-        state = scheme.fresh_state()
-        if self.defect_fraction:
-            state = _inject_defects(
-                self._varray, self.rng, state, self.defect_fraction
-            )
-        writes = 0
-        levels = scheme.cell_levels(state)
-        while writes < max_writes:
-            dataword = self.rng.integers(
-                0, 2, scheme.dataword_bits, dtype=np.uint8
-            )
-            try:
-                state = scheme.write(state, dataword)
-            except UnwritableError:
-                break
-            writes += 1
-            if self.verify_reads:
-                stored = scheme.read(state)
-                if not np.array_equal(stored, dataword):
-                    raise DecodingError(
-                        f"{scheme.name}: read-back mismatch on update {writes}"
-                    )
-            new_levels = scheme.cell_levels(state)
-            if levels is not None and new_levels is not None:
-                trace.record_update(writes, levels, new_levels)
-            levels = new_levels
-        else:
-            raise ConfigurationError(
-                f"{scheme.name} accepted {max_writes} writes without needing "
-                "an erase; raise max_writes_per_cycle if this is intended"
-            )
-        if levels is not None:
-            trace.record_erase(levels, self.num_levels)
-        return writes
+        return self._lane.run(cycles, max_writes_per_cycle).lane_result(0)
 
 
 class BatchLifetimeSimulator:
@@ -348,6 +293,13 @@ class BatchLifetimeSimulator:
         """Simulate ``cycles`` erase cycles on every lane."""
         if cycles < 1:
             raise ConfigurationError("need at least one erase cycle")
+        with _span(
+            "lifetime.run", scheme=self.scheme.name, lanes=self.lanes,
+            cycles=cycles,
+        ):
+            return self._run(cycles, max_writes_per_cycle)
+
+    def _run(self, cycles: int, max_writes_per_cycle: int) -> BatchLifetimeResult:
         scheme = self.scheme
         lanes = self.lanes
         states = scheme.fresh_states(lanes)

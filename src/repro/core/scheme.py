@@ -4,10 +4,12 @@ Every scheme exposes two faces of the same contract: the scalar methods
 (:meth:`RewritingScheme.write` / :meth:`~RewritingScheme.read`) operate on
 one state, and the batched methods (:meth:`~RewritingScheme.write_batch` /
 :meth:`~RewritingScheme.read_batch`) run ``B`` independent states in
-lockstep.  The batched default loops over the scalar path so third-party
-schemes keep working unchanged; array-backed schemes
-(:class:`PageCodeScheme`) override it with natively vectorized
-implementations.  Batched writes never raise
+lockstep.  Each scheme implements the write path once.  Schemes with a
+scalar primitive (uncoded, simple redundancy, third-party schemes) get
+batched methods that loop over it.  :class:`PageCodeScheme` implements the
+batched methods natively, and its scalar methods are ``B = 1`` views of
+them, so the page code's legality checks and the write telemetry exist in
+one copy.  Batched writes never raise
 :class:`~repro.errors.UnwritableError` — exhausted lanes come back
 unchanged with a False entry in the returned mask.
 """
@@ -146,29 +148,26 @@ class PageCodeScheme(RewritingScheme):
         return np.zeros(self.raw_bits, dtype=np.uint8)
 
     def write(self, state: np.ndarray, dataword: np.ndarray) -> np.ndarray:
-        try:
-            new_state = self.code.encode(dataword, state)
-        except UnwritableError:
-            _UNWRITABLE.inc()
-            raise
-        _WRITES.inc()
-        if _metrics.is_enabled():
-            bits = int(np.count_nonzero(np.asarray(new_state) != np.asarray(state)))
-            _BITS_TOTAL.inc(bits)
-            _BITS_PER_WRITE.observe(bits)
-        return new_state
+        """One page — a ``B = 1`` view of :meth:`write_batch`."""
+        new_states, writable = self.write_batch(
+            np.asarray(state, dtype=np.uint8)[None],
+            np.asarray(dataword, dtype=np.uint8)[None],
+        )
+        if not writable[0]:
+            raise UnwritableError(
+                f"{self.name}: the page needs an erase before this write"
+            )
+        return new_states[0]
 
     def read(self, state: np.ndarray) -> np.ndarray:
-        _READS.inc()
-        return self.code.decode(state)
+        """One page — a ``B = 1`` view of :meth:`read_batch`."""
+        return self.read_batch(np.asarray(state, dtype=np.uint8)[None])[0]
 
     def cell_levels(self, state: np.ndarray) -> np.ndarray | None:
-        varray = getattr(self.code, "varray", None)
-        if varray is None:
-            return None
-        return varray.levels(state)
+        levels = self.cell_levels_batch(np.asarray(state, dtype=np.uint8)[None])
+        return None if levels is None else levels[0]
 
-    # -- batched interface (native: states are one (lanes, raw_bits) array) ---
+    # -- batched interface: states are one (lanes, raw_bits) array -----------
 
     def fresh_states(self, lanes: int) -> np.ndarray:
         return np.zeros((lanes, self.raw_bits), dtype=np.uint8)

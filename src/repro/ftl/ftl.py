@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,11 +158,8 @@ class BasicFTL:
         """Host-visible bits per logical page."""
         return self.chip.geometry.page_bits
 
-    def _store(self, data: np.ndarray, current: np.ndarray | None) -> np.ndarray:
-        """Encode ``data`` for storage; ``current`` is the page's bits when
-        attempting an in-place rewrite, else None (fresh page)."""
-        if current is not None:
-            raise CodingError("uncoded pages cannot be rewritten in place")
+    def _store(self, data: np.ndarray) -> np.ndarray:
+        """Encode ``data`` for storage on a fresh page."""
         return np.asarray(data, dtype=np.uint8)
 
     def _load(self, raw: np.ndarray) -> np.ndarray:
@@ -190,6 +187,20 @@ class BasicFTL:
         self._write_out_of_place(lpn, data, count_relocation=False)
         self.stats.host_writes += 1
         self._maybe_static_migration()
+
+    def write_batch(self, lpns, datawords: np.ndarray) -> None:
+        """Write several logical pages, in order, one :meth:`write` each."""
+        for lpn, data in zip(lpns, self._check_batch(lpns, datawords)):
+            self.write(lpn, data)
+
+    def _check_batch(self, lpns, datawords: np.ndarray) -> np.ndarray:
+        data = np.asarray(datawords, dtype=np.uint8)
+        if data.shape != (len(lpns), self.dataword_bits):
+            raise CodingError(
+                f"expected ({len(lpns)}, {self.dataword_bits}) dataword "
+                f"bits, got {data.shape}"
+            )
+        return data
 
     def read(self, lpn: int) -> np.ndarray:
         """Read one logical page (zeros if never written).
@@ -234,7 +245,7 @@ class BasicFTL:
     def _write_out_of_place(
         self, lpn: int, data: np.ndarray, count_relocation: bool
     ) -> None:
-        encoded = self._store(data, current=None)
+        encoded = self._store(data)
         addr = self._program_encoded(encoded)
         self.mapping.map(lpn, addr)
         if count_relocation:

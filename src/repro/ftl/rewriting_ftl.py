@@ -2,10 +2,18 @@
 
 A :class:`RewritingFTL` pairs each logical page with a rewriting scheme.
 Host updates are first attempted *in place* with program-without-erase; only
-when the page code reports :class:`~repro.errors.UnwritableError` does the
-FTL fall back to the classic out-of-place path (new page + invalidate old).
-With MFC-1/2-1BPC that turns ~12 host writes into one page relocation,
-which is exactly how the lifetime gain reaches the device level.
+when the page code reports the page exhausted does the FTL fall back to the
+classic out-of-place path (new page + invalidate old).  With MFC-1/2-1BPC
+that turns ~12 host writes into one page relocation, which is exactly how
+the lifetime gain reaches the device level.
+
+There is one write path: :meth:`RewritingFTL.write_batch`, with
+:meth:`~RewritingFTL.write` its ``B = 1`` view.  It encodes every mapped
+page of a batch in one lockstep call, then applies the lanes in order.
+Before programming a lane it re-checks the lane's address: an in-place
+encode is sound only against the bits actually programmed (the
+monotone-level rewrite model), so a lane whose page an earlier lane moved
+or rewrote is re-encoded alone.
 
 None of this is visible to the host: the FTL simply exposes smaller logical
 pages (``scheme.dataword_bits`` instead of ``page_bits`` — the rate cost).
@@ -18,12 +26,10 @@ import numpy as np
 from repro.core.scheme import RewritingScheme
 from repro.errors import (
     BlockWornOutError,
-    CodingError,
     ConfigurationError,
     DecodingError,
     PartialProgramLimitError,
     ProgramFailedError,
-    UnwritableError,
 )
 from repro.flash.chip import FlashChip
 from repro.ftl.ftl import BasicFTL
@@ -72,9 +78,8 @@ class RewritingFTL(BasicFTL):
         """Host-visible bits per logical page (the scheme's rate cost)."""
         return self.scheme.dataword_bits
 
-    def _store(self, data: np.ndarray, current: np.ndarray | None) -> np.ndarray:
-        state = current if current is not None else self.scheme.fresh_state()
-        return self.scheme.write(state, data)
+    def _store(self, data: np.ndarray) -> np.ndarray:
+        return self.scheme.write(self.scheme.fresh_state(), data)
 
     def _load(self, raw: np.ndarray) -> np.ndarray:
         return self.scheme.read(raw)
@@ -103,99 +108,93 @@ class RewritingFTL(BasicFTL):
         return super()._scrub_page_ok(raw)
 
     def write(self, lpn: int, data: np.ndarray) -> None:
-        """Write a logical page: in-place PWE first, relocation as fallback."""
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"logical pages hold {self.dataword_bits} bits, got {data.shape}"
-            )
-        addr = self.mapping.lookup(lpn)
-        if addr is not None:
-            # Read-modify-write uses the controller's precise internal
-            # sensing; host reads stay on the noisy path.
-            current = self.chip.read_page(*addr, noisy=False)
-            try:
-                encoded = self._store(data, current=current)
-                self.chip.program_page(addr[0], addr[1], encoded)
-            except (UnwritableError, PartialProgramLimitError, BlockWornOutError):
-                # Fall through to relocation — either the code ran out of
-                # writable coset members or the chip's NOP budget is spent.
-                # mapping.map will invalidate the exhausted page once the
-                # new location is secured, so a full device never strands
-                # the previous data.
-                pass
-            except ProgramFailedError as exc:
-                # The chip refused the in-place program.  The page keeps its
-                # previous (still-decodable) contents, so treat this like an
-                # exhausted page: count it, retire the block on a permanent
-                # defect, and relocate.
-                self.stats.program_failures += 1
-                if exc.permanent:
-                    self._retire_block(addr[0])
-            else:
-                self.stats.in_place_rewrites += 1
-                self.stats.host_writes += 1
-                self._maybe_static_migration()
-                return
-        self._write_out_of_place(lpn, data, count_relocation=addr is not None)
-        self.stats.host_writes += 1
-        self._maybe_static_migration()
+        """Write one logical page — a ``B = 1`` view of :meth:`write_batch`."""
+        self.write_batch([lpn], np.asarray(data, dtype=np.uint8)[None])
 
     def write_batch(self, lpns, datawords: np.ndarray) -> None:
-        """Write several logical pages, batching the in-place encodes.
+        """Write several logical pages in order: in-place PWE first,
+        relocation as fallback.
 
-        Every mapped logical page's program-without-erase attempt runs
-        through one ``scheme.write_batch`` call (a single lockstep Viterbi
-        search for MFCs) instead of one scalar encode per page.  Lanes the
-        batch reports unwritable relocate exactly like the scalar path;
-        unmapped pages and repeated LPNs fall back to :meth:`write` so
-        per-LPN write ordering is preserved.
+        The first write to every mapped logical page is encoded up front in
+        one ``scheme.write_batch`` call (a single lockstep Viterbi search for
+        MFCs).  A lane whose page an earlier lane moved — by relocation, GC
+        or static migration — or rewrote is re-encoded alone, so the result
+        is the same as one :meth:`write` per lane.
         """
-        data = np.asarray(datawords, dtype=np.uint8)
-        if data.ndim != 2 or data.shape != (len(lpns), self.dataword_bits):
-            raise CodingError(
-                f"expected ({len(lpns)}, {self.dataword_bits}) dataword "
-                f"bits, got {data.shape}"
+        data = self._check_batch(lpns, datawords)
+        # Pre-encode the first write to each mapped LPN in one call; a later
+        # write to the same LPN depends on it, so it is encoded alone.
+        first_lane = {lpn: lane for lane, lpn in reversed(list(enumerate(lpns)))}
+        mapped = {
+            lane: addr
+            for lpn, lane in first_lane.items()
+            if (addr := self.mapping.lookup(lpn)) is not None
+        }
+        encoded = {}
+        if mapped:
+            states, writable = self._encode_in_place(
+                list(mapped.values()), data[list(mapped)]
             )
-        batch_lanes: list[int] = []
-        addrs: list[tuple[int, int]] = []
-        scalar_lanes: list[int] = []
-        seen: set[int] = set()
+            encoded = {
+                lane: (self._page_key(addr), states[j], writable[j])
+                for j, (lane, addr) in enumerate(mapped.items())
+            }
         for lane, lpn in enumerate(lpns):
-            addr = self.mapping.lookup(lpn) if lpn not in seen else None
+            addr = self.mapping.lookup(lpn)
+            in_place = False
             if addr is not None:
-                batch_lanes.append(lane)
-                addrs.append(addr)
+                key, state, ok = encoded.get(lane, (None, None, False))
+                if key != self._page_key(addr):
+                    # Not pre-encoded, or an earlier lane's relocation, GC
+                    # or static migration moved the page since.
+                    states, writable = self._encode_in_place(
+                        [addr], data[lane][None]
+                    )
+                    state, ok = states[0], writable[0]
+                in_place = ok and self._program_in_place(addr, state)
+            if in_place:
+                self.stats.in_place_rewrites += 1
             else:
-                scalar_lanes.append(lane)
-            seen.add(lpn)
-        if batch_lanes:
-            current = np.stack(
-                [self.chip.read_page(*addr, noisy=False) for addr in addrs]
-            )
-            new_states, writable = self.scheme.write_batch(
-                current, data[batch_lanes]
-            )
-            new_states = np.asarray(new_states)
-            for j, lane in enumerate(batch_lanes):
-                lpn = lpns[lane]
-                addr = addrs[j]
-                if writable[j]:
-                    try:
-                        self.chip.program_page(addr[0], addr[1], new_states[j])
-                    except (PartialProgramLimitError, BlockWornOutError):
-                        pass
-                    except ProgramFailedError as exc:
-                        self.stats.program_failures += 1
-                        if exc.permanent:
-                            self._retire_block(addr[0])
-                    else:
-                        self.stats.in_place_rewrites += 1
-                        self.stats.host_writes += 1
-                        self._maybe_static_migration()
-                        continue
-                self._write_out_of_place(lpn, data[lane], count_relocation=True)
-                self.stats.host_writes += 1
-                self._maybe_static_migration()
-        for lane in scalar_lanes:
-            self.write(lpns[lane], data[lane])
+                self._write_out_of_place(
+                    lpn, data[lane], count_relocation=addr is not None
+                )
+            self.stats.host_writes += 1
+            self._maybe_static_migration()
+
+    def _page_key(self, addr: tuple[int, int]) -> tuple:
+        """``addr`` and its block's erase count: a moved page can come back
+        to the same address only after an erase, so an unchanged key means
+        the page has not moved."""
+        return addr, self.chip.blocks[addr[0]].erase_count
+
+    def _encode_in_place(self, addrs, datawords: np.ndarray):
+        """Encode ``datawords`` onto the current bits of ``addrs``.
+
+        Read-modify-write uses the controller's precise internal sensing;
+        host reads stay on the noisy path.
+        """
+        current = np.stack(
+            [self.chip.read_page(*addr, noisy=False) for addr in addrs]
+        )
+        states, writable = self.scheme.write_batch(current, datawords)
+        return np.asarray(states), writable
+
+    def _program_in_place(self, addr: tuple[int, int], state) -> bool:
+        """Program-without-erase; False means the page must relocate."""
+        try:
+            self.chip.program_page(addr[0], addr[1], state)
+        except (PartialProgramLimitError, BlockWornOutError):
+            # The chip's NOP budget is spent.  mapping.map will invalidate
+            # the exhausted page once the new location is secured, so a
+            # full device never strands the previous data.
+            return False
+        except ProgramFailedError as exc:
+            # The chip refused the in-place program.  The page keeps its
+            # previous (still-decodable) contents, so treat this like an
+            # exhausted page: count it, retire the block on a permanent
+            # defect, and relocate.
+            self.stats.program_failures += 1
+            if exc.permanent:
+                self._retire_block(addr[0])
+            return False
+        return True

@@ -304,6 +304,12 @@ class StorageService:
         self._handler_tasks: set[asyncio.Task] = set()
         self._recovering = False
         self._recovery_task: asyncio.Task | None = None
+        # Fixed at construction (restore refuses a checkpoint of another
+        # geometry), so STAT can report it while recovery owns the device.
+        self._geometry = {
+            "logical_pages": ssd.logical_pages,
+            "dataword_bits": ssd.logical_page_bits,
+        }
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -817,8 +823,11 @@ class StorageService:
         Built from serving-layer state only — touching the SSD here would
         race the replay — so clients polling STAT can watch for
         ``recovering`` to clear without tripping over RECOVERING errors.
+        The device geometry is included, so clients that size their address
+        space from STAT can connect before replay finishes.
         """
         return {
+            **self._geometry,
             "recovering": True,
             "server": self.stats.summary(),
         }

@@ -154,44 +154,26 @@ class SSD:
         self._read_only = True
 
     def write(self, lpn: int, data: np.ndarray) -> None:
-        if self._read_only:
-            raise ReadOnlyModeError(
-                "device is in end-of-life read-only mode; stored data "
-                "remains readable"
-            )
-        try:
-            self.ftl.write(lpn, data)
-        except (OutOfSpaceError, ProgramFailedError):
-            # The FTL exhausted its recovery options (no free pages left,
-            # or a program kept failing past the retry budget).  Latch
-            # read-only so stored data stays reachable, and let the caller
-            # see the original failure.
-            self.enter_read_only()
-            raise
+        """Write one logical page — a ``B = 1`` view of :meth:`write_batch`."""
+        self.write_batch([lpn], np.asarray(data, dtype=np.uint8)[None])
 
     def write_batch(self, lpns, datawords: np.ndarray) -> None:
-        """Write several logical pages, coalescing the in-place encodes.
+        """Write several logical pages in order, coalescing the in-place
+        encodes.
 
-        Rewriting devices route the batch through
-        :meth:`~repro.ftl.rewriting_ftl.RewritingFTL.write_batch` (one
-        lockstep Viterbi search for every mapped page); uncoded devices
-        fall back to sequential writes.  End-of-life semantics match
-        :meth:`write`: the device latches read-only on the first
-        unrecoverable failure and the original error propagates.
+        Rewriting devices encode every mapped page in one lockstep call
+        (:meth:`~repro.ftl.rewriting_ftl.RewritingFTL.write_batch`).  On
+        the first unrecoverable failure (no free pages left, or a program
+        kept failing past the retry budget) the device latches read-only,
+        so stored data stays reachable, and the original error propagates.
         """
         if self._read_only:
             raise ReadOnlyModeError(
                 "device is in end-of-life read-only mode; stored data "
                 "remains readable"
             )
-        datawords = np.asarray(datawords, dtype=np.uint8)
         try:
-            ftl_batch = getattr(self.ftl, "write_batch", None)
-            if ftl_batch is not None:
-                ftl_batch(list(lpns), datawords)
-            else:
-                for lpn, data in zip(lpns, datawords):
-                    self.ftl.write(lpn, data)
+            self.ftl.write_batch(list(lpns), datawords)
         except (OutOfSpaceError, ProgramFailedError):
             self.enter_read_only()
             raise

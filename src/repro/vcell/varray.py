@@ -43,15 +43,6 @@ class VCellArray:
             )
         self.used_bits = self.num_cells * self.bits_per_cell
 
-    def _cell_matrix(self, page_bits: np.ndarray) -> np.ndarray:
-        """Reshape the used portion of a page into (num_cells, bits_per_cell)."""
-        bits = np.asarray(page_bits, dtype=np.uint8)
-        if bits.shape != (self.page_bits,):
-            raise VCellError(
-                f"expected a page of {self.page_bits} bits, got shape {bits.shape}"
-            )
-        return bits[: self.used_bits].reshape(self.num_cells, self.bits_per_cell)
-
     def _cell_matrix_batch(self, pages: np.ndarray) -> np.ndarray:
         """Reshape ``(B, page_bits)`` pages into ``(B, num_cells, bits_per_cell)``."""
         bits = np.asarray(pages, dtype=np.uint8)
@@ -64,8 +55,9 @@ class VCellArray:
         )
 
     def levels(self, page_bits: np.ndarray) -> np.ndarray:
-        """Per-cell levels (popcount of each cell's bit group)."""
-        return self._cell_matrix(page_bits).sum(axis=1, dtype=np.int64)
+        """Per-cell levels of one page — a ``B = 1`` view of
+        :meth:`levels_batch`."""
+        return self.levels_batch(np.asarray(page_bits, dtype=np.uint8)[None])[0]
 
     def levels_batch(self, pages: np.ndarray) -> np.ndarray:
         """Per-cell levels for ``B`` pages at once: ``(B, num_cells)``."""
@@ -76,7 +68,18 @@ class VCellArray:
         return np.zeros(self.page_bits, dtype=np.uint8)
 
     def program_levels(self, page_bits: np.ndarray, target_levels: np.ndarray) -> np.ndarray:
-        """Return new page bits realizing ``target_levels``.
+        """New bits of one page realizing ``target_levels`` — a ``B = 1``
+        view of :meth:`program_levels_batch`."""
+        return self.program_levels_batch(
+            np.asarray(page_bits, dtype=np.uint8)[None],
+            np.asarray(target_levels)[None],
+        )[0]
+
+    def program_levels_batch(
+        self, pages: np.ndarray, target_levels: np.ndarray
+    ) -> np.ndarray:
+        """Return new ``(B, page_bits)`` bits realizing ``(B, num_cells)``
+        target levels.
 
         For each cell the lowest-index unset bits are set until the cell
         reaches its target level.  Within a level all bit representations are
@@ -90,45 +93,6 @@ class VCellArray:
             If any target is below the cell's current level.
         CellSaturatedError
             If any target exceeds the maximum level.
-        """
-        targets = np.asarray(target_levels)
-        if targets.shape != (self.num_cells,):
-            raise VCellError(
-                f"expected {self.num_cells} target levels, got shape {targets.shape}"
-            )
-        if targets.max(initial=0) > self.spec.max_level:
-            bad = int(np.flatnonzero(targets > self.spec.max_level)[0])
-            raise CellSaturatedError(
-                f"cell {bad}: target level {targets[bad]} exceeds "
-                f"L{self.spec.max_level}"
-            )
-        cells = self._cell_matrix(page_bits)
-        current = cells.sum(axis=1, dtype=np.int64)
-        deficits = targets - current
-        if (deficits < 0).any():
-            bad = int(np.flatnonzero(deficits < 0)[0])
-            raise VCellError(
-                f"cell {bad}: cannot lower level from L{current[bad]} to "
-                f"L{targets[bad]} without an erase"
-            )
-        # Rank each unset bit within its cell; set those ranked below the
-        # deficit.  ranks[i, j] = number of unset bits strictly before j.
-        unset = cells == 0
-        ranks = np.cumsum(unset, axis=1) - unset
-        to_set = unset & (ranks < deficits[:, None])
-        new_cells = cells | to_set.astype(np.uint8)
-        new_page = np.asarray(page_bits, dtype=np.uint8).copy()
-        new_page[: self.used_bits] = new_cells.reshape(-1)
-        if _metrics.is_enabled():
-            _PROGRAMS.inc()
-            _LEVEL_INCREMENTS.inc(int(deficits.sum()))
-        return new_page
-
-    def program_levels_batch(
-        self, pages: np.ndarray, target_levels: np.ndarray
-    ) -> np.ndarray:
-        """Batched :meth:`program_levels`: ``(B, page_bits)`` pages to
-        ``(B, num_cells)`` targets, with the same per-cell legality checks.
         """
         targets = np.asarray(target_levels)
         cells = self._cell_matrix_batch(pages)
@@ -153,6 +117,8 @@ class VCellArray:
                 f"L{current[lane, cell]} to L{targets[lane, cell]} without "
                 "an erase"
             )
+        # Rank each unset bit within its cell; set those ranked below the
+        # deficit.  ranks[..., j] = number of unset bits strictly before j.
         unset = cells == 0
         ranks = np.cumsum(unset, axis=2) - unset
         to_set = unset & (ranks < deficits[:, :, None])

@@ -4,7 +4,10 @@
 scalar ``write`` calls: same new states, and per-lane ``UnwritableError``
 surfacing as a False mask entry instead of an exception.  Runs across every
 MFC rate and WOM, over random seeds, including batches where some lanes
-saturate mid-run.
+saturate mid-run.  The scalar ``write`` is a ``B = 1`` view of
+``write_batch``, so these tests check that a lane's result does not depend
+on the batch size; ``test_golden_write_paths.py`` pins the numbers
+themselves.
 """
 
 from __future__ import annotations

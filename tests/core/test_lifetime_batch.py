@@ -1,4 +1,8 @@
-"""The lockstep batch lifetime engine against the scalar reference."""
+"""The lockstep batch lifetime engine against its ``B = 1`` view.
+
+``LifetimeSimulator`` runs one lane of the same engine, so these tests
+check that a lane's results do not depend on the batch size.
+"""
 
 from __future__ import annotations
 

@@ -14,11 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterClient
 from repro.durability import DurableStore
 from repro.durability.checkpoint import MANIFEST_NAME
 from repro.errors import ConnectionLostError, RecoveringError
 from repro.flash import FlashGeometry
 from repro.server import StorageClient, StorageService
+from repro.server.loadgen import _fetch_geometry
 from repro.server.runner import main
 from repro.ssd import SSD
 
@@ -170,6 +172,38 @@ class TestRecoveringStatus:
         assert stat_after["recovering"] is False
         assert stat_after["durability"]["fsync_policy"] == "batch"
         assert report.fresh
+
+
+    def test_geometry_callers_connect_during_replay(self, tmp_path) -> None:
+        """The loadgen and the cluster router size their address space from
+        STAT; both must work while the journal is still replaying."""
+
+        async def go():
+            gate = threading.Event()
+            ssd = make_ssd()
+            store = _GatedStore(str(tmp_path / "d"), gate)
+            async with StorageService(ssd, store=store) as service:
+                geometry = await _fetch_geometry("127.0.0.1", service.port)
+                router = await ClusterClient.connect(
+                    {0: ("127.0.0.1", service.port)}
+                )
+                try:
+                    with pytest.raises(RecoveringError):
+                        await router.read(0)
+                    gate.set()
+                    await service.recovery_done()
+                    data = np.ones(router.dataword_bits, dtype=np.uint8)
+                    await router.write(2, data)
+                    assert np.array_equal(await router.read(2), data)
+                    routed = (router.logical_pages, router.dataword_bits)
+                finally:
+                    await router.close()
+                expected = (ssd.logical_pages, ssd.logical_page_bits)
+                return geometry, routed, expected
+
+        geometry, routed, expected = asyncio.run(go())
+        assert geometry == expected
+        assert routed == expected
 
 
 class TestServeCliRefusals:
