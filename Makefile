@@ -32,12 +32,13 @@ bench-smoke:
 perfbench-test:
 	PYTHONPATH=src python -m pytest perfbench/tests -q
 
-# Bit-identity of every ACS kernel backend against the reference kernel.
-# Runs once with the backend forced to numpy and once under the default
-# (auto) selection; with numba installed, auto covers the jitted path.
+# Bit-identity of every Viterbi kernel backend against the reference
+# kernel: once with the backend forced to numpy, once forced to the
+# compiled c backend (which fails, rather than falls back, without a
+# working C compiler).
 kernel-equivalence:
 	REPRO_VITERBI_BACKEND=numpy PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
-	PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
+	REPRO_VITERBI_BACKEND=c PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
 
 # Paper-fidelity benchmark run (4 KB pages, several minutes).
 bench-full:

@@ -10,7 +10,8 @@ The session-scoped :func:`perf_recorder` fixture collects named throughput
 records (writes/sec, cells/sec, speedups) from any bench that opts in and
 writes them to ``BENCH_coding.json`` at the repo root when the session
 ends — CI uploads that file as an artifact so coding-path performance is
-tracked per commit.
+tracked per commit.  Each record carries the name of the Viterbi kernel
+backend (``c`` or ``numpy``) that was resolved when it was taken.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.coding.kernels import resolve_backend
 from repro.experiments.config import ExperimentConfig
 
 #: Repo root — conftest lives in <root>/benchmarks/.
@@ -41,11 +43,13 @@ class PerfRecorder:
         self.records: dict[str, dict] = {}
 
     def record(self, name: str, **metrics) -> None:
-        """Store one named measurement (overwrites a same-named record)."""
+        """Store one named measurement (overwrites a same-named record),
+        stamped with the Viterbi kernel backend it ran on."""
         self.records[name] = {
             key: (round(value, 6) if isinstance(value, float) else value)
             for key, value in metrics.items()
         }
+        self.records[name]["viterbi_backend"] = resolve_backend().name
 
     def flush(self, path: Path = BENCH_JSON) -> None:
         if not self.records:

@@ -3,17 +3,19 @@
 Lifetime simulations are deterministic functions of (scheme parameters,
 simulation knobs, code version), so their results can be memoized across
 processes and sessions.  Keys are SHA-256 hashes over a canonical JSON
-payload that includes a fingerprint of every Python source file in the
-installed ``repro`` package — editing any simulation code silently
-invalidates all previously cached results, which makes stale hits
-impossible without any mtime bookkeeping.
+payload that includes a fingerprint of every source file (the Python
+modules and the C Viterbi kernel) in the installed ``repro`` package —
+editing any simulation code silently invalidates all previously cached
+results, which makes stale hits impossible without any mtime bookkeeping.
 
 The store lives under the platform user-cache directory by default
 (``~/.cache/methuselah-repro`` on Linux) and never inside the repository
 tree; ``REPRO_CACHE_DIR`` overrides the location.  Values are pickled
 :class:`~repro.core.lifetime.LifetimeResult` objects (or anything else
 picklable); writes are atomic (``os.replace``) so a killed run never
-leaves a truncated entry behind.
+leaves a truncated entry behind.  The compiled Viterbi kernel of
+:mod:`repro.coding.kernels` is cached in the same directory, under
+``kernels/``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "default_cache_dir",
     "fingerprinted_key",
     "get_default_cache",
+    "source_fingerprint",
 ]
 
 #: Subdirectory name under the platform cache root.
@@ -50,24 +53,38 @@ _MISSES = _metrics.counter("cache.misses")
 _STORES = _metrics.counter("cache.stores")
 
 
-@lru_cache(maxsize=1)
-def code_fingerprint() -> str:
-    """SHA-256 over every ``.py`` file of the installed ``repro`` package.
+#: Source files whose bytes decide what the package computes: the Python
+#: modules and the C kernel compiled from them at run time.
+_SOURCE_PATTERNS = ("*.py", "*.c")
 
-    Folding this into every cache key makes source edits invalidate the
-    whole cache — conservative (a docs-only change also invalidates) but
-    guaranteed never to serve a result computed by different code.
-    """
-    import repro
 
-    package_root = Path(repro.__file__).resolve().parent
+def source_fingerprint(root: Path) -> str:
+    """SHA-256 over every source file (``*.py`` and ``*.c``) under ``root``,
+    keyed by relative path."""
     digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
-        digest.update(str(path.relative_to(package_root)).encode())
+    paths = sorted(
+        path for pattern in _SOURCE_PATTERNS for path in root.rglob(pattern)
+    )
+    for path in paths:
+        digest.update(str(path.relative_to(root)).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())
         digest.update(b"\0")
     return digest.hexdigest()
+
+
+@lru_cache(maxsize=1)
+def code_fingerprint() -> str:
+    """:func:`source_fingerprint` of the installed ``repro`` package.
+
+    Folding this into every cache key makes source edits invalidate the
+    whole cache — conservative (a docs-only change also invalidates) but
+    guaranteed never to serve a result computed by different code, the C
+    kernel's included.
+    """
+    import repro
+
+    return source_fingerprint(Path(repro.__file__).resolve().parent)
 
 
 def default_cache_dir() -> Path:

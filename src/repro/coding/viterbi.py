@@ -17,32 +17,36 @@ saturated page never aborts the whole batch.
 Kernel layout
 -------------
 The add-compare-select recursion is sequential in trellis steps, so for the
-small state counts the paper uses (64 states at K=7) the wall clock is
-dominated by Python-level dispatch, not arithmetic.  The kernel therefore
-minimizes work per step three ways:
+small state counts the paper uses (64 states at K=7) the search minimizes
+work per step three ways:
 
-* branch costs for whole slabs of steps are gathered into a contiguous
-  ``(steps, B, 2 * states)`` tensor *before* the step loop, so the loop
-  body never touches the codebook or the XOR tables;
 * when every finite metric cost is a non-negative integer (true for the
   paper's metric and both ablations), two trellis steps are folded into one
   radix-4 iteration over precomputed two-step predecessor tables — exact,
   because integer-valued float sums are associative — and path metrics drop
   to float32 whenever the worst-case total fits its 2**24 exact-integer
   range;
-* the backtrace walks states only (one gather per step); codeword chunks
-  are reconstructed from the state sequence in one vectorized pass.
+* per-step cost rows come from a fused ``(level combination, chunk)``
+  table, and composed gather tables map each step's coset chunk straight
+  to the cost-row entry of every radix-4 branch, so branch costs are two
+  table lookups with no XOR or codebook work in the loop;
+* the backtrace walks states only; codeword chunks are reconstructed from
+  the state sequence in one vectorized pass.
 
-Non-integral metrics fall back to a float64 radix-2 loop that reproduces
-the historical arithmetic operation for operation, so results are
+Non-integral metrics fall back to a float64 radix-2 loop (branch costs
+gathered into per-chunk slabs before the step loop) that reproduces the
+historical arithmetic operation for operation, so results are
 bit-identical for every metric either way.
 
-The radix-4 pair loop itself is pluggable: :mod:`repro.coding.kernels`
-keeps a registry of ACS backends (the vectorized numpy loop as the
-always-available default, a numba-jitted kernel when numba is
-importable), selected per ``CosetViterbi`` via the ``backend`` argument
-or the ``REPRO_VITERBI_BACKEND`` environment variable.  Every backend is
-pinned bit-identical by ``tests/coding/test_viterbi_kernel.py``.
+The radix-4 branch-cost gather, pair loop and state walk are pluggable:
+:mod:`repro.coding.kernels` keeps a registry of kernel backends, selected
+per ``CosetViterbi`` via the ``backend`` argument or the
+``REPRO_VITERBI_BACKEND`` environment variable.  ``auto`` picks ``c`` — a
+small C kernel compiled once per cache directory with the local C
+compiler, which gathers branch costs inside the ACS loop and walks the
+backtrace in C — and falls back to the vectorized ``numpy`` reference
+when no compiler is present.  Every backend is pinned bit-identical by
+``tests/coding/test_viterbi_kernel.py``.
 """
 
 from __future__ import annotations
@@ -152,10 +156,10 @@ class ViterbiBatchResult:
 class CosetViterbi:
     """Reusable searcher for one (trellis, codebook) pair.
 
-    ``backend`` names the ACS kernel implementation for the radix-4 fast
-    path (default: the ``REPRO_VITERBI_BACKEND`` environment variable,
-    falling back to ``"auto"`` — numba when importable, else numpy).
-    Backend choice never changes results, only wall clock.
+    ``backend`` names the kernel implementation for the radix-4 fast path
+    (default: the ``REPRO_VITERBI_BACKEND`` environment variable, falling
+    back to ``"auto"`` — the compiled ``c`` kernel when it builds, else
+    ``numpy``).  Backend choice never changes results, only wall clock.
     """
 
     def __init__(
@@ -211,16 +215,13 @@ class CosetViterbi:
         # k1 = 0 first (strict-less update), then k0 = 0 (first minimum).
         kk = np.arange(4)
         k1, k0 = kk >> 1, kk & 1
-        self._mid_tab = prev[:, k1]  # (S, 4)
-        self._src_tab = prev[self._mid_tab, k0[None, :]]  # (S, 4)
+        self._mid_tab = np.ascontiguousarray(prev[:, k1])  # (S, 4)
+        self._src_tab = np.ascontiguousarray(
+            prev[self._mid_tab, k0[None, :]]
+        )  # (S, 4)
         self._prev2_flat = (
-            np.ascontiguousarray(self._src_tab.T).reshape(-1).astype(np.intp)
+            np.ascontiguousarray(self._src_tab.T).reshape(-1).astype(np.int64)
         )
-        # Plain nested lists for the single-lane backtrace: at B = 1 a pure
-        # Python state walk beats batched fancy indexing by a wide margin.
-        self._mid_list = self._mid_tab.tolist()
-        self._src_list = self._src_tab.tolist()
-        self._prev_list = prev.tolist()
         s_grid = np.arange(num_states)
         # Fold two branch slabs into the radix-4 slab: entry j2 = kk*S + s
         # sums the later step's (k1, s) branch and the earlier step's
@@ -385,7 +386,7 @@ class CosetViterbi:
             total_costs = path[lane_index, end_state].astype(np.float64)
             with _span("viterbi.backtrace", lanes=lanes, steps=steps, radix=4):
                 codeword_values = self._backtrace_radix4(
-                    reps, end_state, backptr2, backptr_tail, lane_index
+                    reps, end_state, backptr2, backptr_tail
                 )
         else:
             with _span("viterbi.acs", lanes=lanes, steps=steps, radix=2):
@@ -448,11 +449,14 @@ class CosetViterbi:
         * ``sel[p]``  — the winning choice came from the ``kk >= 2`` pair,
         * ``low01[p]`` / ``low23[p]`` — the winner within each pair,
 
-        so ``kk = 2 + low23 if sel else low01``.  The pair recursion itself
-        runs through the pluggable ACS backend (``self.backend``, see
-        :mod:`repro.coding.kernels`); every backend writes the planes with
-        strict-less comparisons, reproducing ``argmin``'s first-occurrence
-        tie-breaking and therefore the sequential radix-2 recursion exactly.
+        so ``kk = 2 + low23 if sel else low01``.  The branch-cost gather and
+        the pair recursion run through the pluggable backend
+        (``self.backend``, see :mod:`repro.coding.kernels`), which receives
+        each chunk's cost rows, per-pair row offsets and coset chunks
+        rather than a materialized branch tensor; every backend writes the
+        planes with strict-less comparisons, reproducing ``argmin``'s
+        first-occurrence tie-breaking and therefore the sequential radix-2
+        recursion exactly.
         """
         lanes, steps = reps.shape
         num_states = self.trellis.num_states
@@ -485,35 +489,40 @@ class CosetViterbi:
                         + levels[:, t0:t1, cell]
                     )
                 level_rows = (level_rows * self.num_values).astype(np.int32)
-                late_off = level_rows[:, 1::2].T[:, :, None]
-                early_off = level_rows[:, 0 : span - (span % 2) : 2].T[
-                    :, :, None
-                ]
+                late_off = level_rows[:, 1::2].T
+                early_off = level_rows[:, 0 : span - (span % 2) : 2].T
                 tail_off = level_rows[:, span - 1]
             else:
                 # (B * span, 2**m) cost rows for this chunk of steps,
-                # flattened so the composed gathers below index directly.
+                # flattened so the composed gathers index directly.
                 costs_flat = self._chunk_costs_flat(levels[:, t0:t1], dtype)
                 lane_base = np.arange(lanes, dtype=np.int32) * (
                     span * self.num_values
                 )
-                step_off = (
+                early_off = (
                     np.arange(chunk_pairs, dtype=np.int32)
                     * (2 * self.num_values)
                 )[:, None] + lane_base[None, :]
-                late_off = (step_off + self.num_values)[:, :, None]
-                early_off = step_off[:, :, None]
+                late_off = early_off + self.num_values
                 tail_off = lane_base + (span - 1) * self.num_values
             if chunk_pairs:
-                # Fold the two steps of each pair at gather time: one take
-                # per half-step slab, no intermediate 2S-wide branch tensor.
-                late = self._xg2_late[reps[:, t0 + 1 : t1 : 2].T]
-                early = self._xg2_early[reps[:, t0 : t1 - (span % 2) : 2].T]
-                late += late_off
-                early += early_off
-                folded = costs_flat.take(late)
-                folded += costs_flat.take(early)
-                acs_radix4(path, folded, prev2_flat, sel, low01, low23, pair)
+                # The backend folds the two steps of each pair while it
+                # gathers their branch costs (see repro.coding.kernels).
+                acs_radix4(
+                    path,
+                    costs_flat,
+                    self._xg2_late,
+                    reps[:, t0 + 1 : t1 : 2].T,
+                    late_off,
+                    self._xg2_early,
+                    reps[:, t0 : t1 - (span % 2) : 2].T,
+                    early_off,
+                    prev2_flat,
+                    sel,
+                    low01,
+                    low23,
+                    pair,
+                )
                 pair += chunk_pairs
             if span % 2:  # only the final chunk of an odd-length trellis
                 inc2 = np.empty((lanes, 2, num_states), dtype=dtype)
@@ -532,49 +541,22 @@ class CosetViterbi:
             costs.reshape(-1, self.num_values), dtype=dtype
         )
 
-    def _backtrace_radix4(
-        self, reps, end_state, backptr2, backptr_tail, lane_index
-    ):
+    def _backtrace_radix4(self, reps, end_state, backptr2, backptr_tail):
         """Walk states backward, then rebuild all codeword chunks at once."""
         lanes, steps = reps.shape
         sel, low01, low23 = backptr2
-        if lanes == 1:
-            seq = [0] * steps
-            state = int(end_state[0])
-            if backptr_tail is not None:
-                state = self._prev_list[state][int(backptr_tail[0, state])]
-                seq[steps - 1] = state
-            sel_item, low01_item, low23_item = sel.item, low01.item, low23.item
-            mid_list, src_list = self._mid_list, self._src_list
-            for pair in range(steps // 2 - 1, -1, -1):
-                if sel_item(pair, 0, state):
-                    kk = 2 + low23_item(pair, 0, state)
-                else:
-                    kk = low01_item(pair, 0, state)
-                row_mid, row_src = mid_list[state], src_list[state]
-                seq[2 * pair + 1] = row_mid[kk]
-                state = row_src[kk]
-                seq[2 * pair] = state
-            before = np.array(seq, dtype=np.int64)[None, :]
-        else:
-            sel_u = sel.view(np.uint8)
-            low01_u = low01.view(np.uint8)
-            low23_u = low23.view(np.uint8)
-            before = np.empty((lanes, steps), dtype=np.int64)
-            state = end_state.astype(np.int64)
-            if backptr_tail is not None:
-                choice = backptr_tail.view(np.uint8)[lane_index, state]
-                before[:, steps - 1] = state = self._prev_src[state, choice]
-            for pair in range(steps // 2 - 1, -1, -1):
-                t = 2 * pair
-                chose23 = sel_u[pair, lane_index, state]
-                kk = np.where(
-                    chose23,
-                    2 + low23_u[pair, lane_index, state],
-                    low01_u[pair, lane_index, state],
-                )
-                before[:, t + 1] = self._mid_tab[state, kk]
-                before[:, t] = state = self._src_tab[state, kk]
+        before = np.empty((lanes, steps), dtype=np.int64)
+        self.backend.backtrace_radix4(
+            before,
+            end_state,
+            sel,
+            low01,
+            low23,
+            backptr_tail,
+            self._prev_src,
+            self._mid_tab,
+            self._src_tab,
+        )
         after = np.empty_like(before)
         after[:, :-1] = before[:, 1:]
         after[:, -1] = end_state

@@ -89,10 +89,11 @@ def main(argv: list[str] | None = None) -> int:
                         default=defaults.cache,
                         help="skip the on-disk result cache entirely")
     parser.add_argument("--viterbi-backend", default=defaults.viterbi_backend,
-                        help="ACS kernel backend for the MFC coset codes "
-                             "(auto/numpy/numba; auto prefers numba when "
-                             "installed, results are bit-identical either "
-                             "way)")
+                        help="Viterbi kernel backend for the MFC coset "
+                             "codes (auto/c/numpy; auto prefers the compiled "
+                             "c kernel and falls back to numpy when no C "
+                             "compiler is present; results are bit-identical "
+                             "either way)")
     parser.add_argument("--metrics-out", metavar="PATH",
                         help="write a Prometheus-style metrics dump here "
                              "(implies telemetry collection)")

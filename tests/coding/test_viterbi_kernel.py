@@ -10,6 +10,13 @@ codewords, total costs, and writability masks across all MFC rates.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -116,7 +123,7 @@ def test_8_level_vcells_bit_identical() -> None:
 
 
 def test_single_lane_scalar_backtrace() -> None:
-    """The lanes==1 backtrace takes a dedicated scalar walk; cover it."""
+    """Single-lane searches (every scalar write) walk the batch backtrace."""
     code = _make_code("mfc-1/2-1bpc", 5)
     viterbi = code.viterbi
     for steps in (11, 12):
@@ -162,17 +169,60 @@ def test_float32_metric_bound_falls_back_to_float64() -> None:
 # ---------------------------------------------------------------------------
 
 
+def _swapped(variant, constraint_length, backend):
+    reference = _make_code(variant, constraint_length).viterbi
+    return CosetViterbi(reference.trellis, reference.codebook, backend=backend)
+
+
 @pytest.mark.parametrize("backend", kernels.available_backends())
 @pytest.mark.parametrize("variant", ["mfc-1/2-1bpc", "mfc-2/3", "mfc-4/5"])
 def test_every_available_backend_bit_identical(backend, variant) -> None:
-    code = _make_code(variant, 4)
-    reference = code.viterbi
-    swapped = CosetViterbi(reference.trellis, reference.codebook, backend=backend)
+    swapped = _swapped(variant, 4, backend)
     assert swapped.backend.name == backend
-    num_levels = reference.codebook.num_levels
-    for seed, steps in ((4, 12), (5, 13)):  # even + odd-tail trellises
-        reps, levels = _random_case(reference, 5, steps, seed, num_levels - 2)
+    num_levels = swapped.codebook.num_levels
+    # Even and odd-tail trellises, down to a single radix-4 pair.
+    for seed, steps in ((4, 12), (5, 13), (6, 3), (7, 31)):
+        reps, levels = _random_case(swapped, 5, steps, seed, num_levels - 2)
         _assert_bit_identical(swapped, reps, levels)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize("float64", [False, True])
+def test_backend_cost_paths_bit_identical(backend, fused, float64) -> None:
+    """Fused-table and per-chunk cost rows, float32 and float64 metrics."""
+    viterbi = _swapped("mfc-2/3", 4, backend)
+    if not fused:
+        viterbi._fused_flat = None
+    if float64:
+        viterbi._max_step_cost = float(2**24)
+    num_levels = viterbi.codebook.num_levels
+    for seed, steps in ((11, 14), (12, 15)):
+        reps, levels = _random_case(viterbi, 4, steps, seed, num_levels - 2)
+        _assert_bit_identical(viterbi, reps, levels)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_backend_mixed_unwritable_lanes_bit_identical(backend) -> None:
+    """Saturated lanes sit between writable ones in one batch."""
+    viterbi = _swapped("mfc-1/2-1bpc", 4, backend)
+    top = viterbi.codebook.num_levels - 1
+    reps, levels = _random_case(viterbi, 6, 16, 21, 1)
+    levels[1::2] = top
+    ref_writable = _reference_search_batch(viterbi, reps, levels)[2]
+    assert ref_writable.any() and not ref_writable.all()
+    _assert_bit_identical(viterbi, reps, levels)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_backend_256_state_trellis_bit_identical(backend) -> None:
+    """K=9: no scratch buffer may be sized for the paper's 64 states."""
+    viterbi = _swapped("mfc-1/2-1bpc", 9, backend)
+    assert viterbi.trellis.num_states == 256
+    num_levels = viterbi.codebook.num_levels
+    for seed, lanes, steps in ((31, 3, 18), (32, 1, 19)):
+        reps, levels = _random_case(viterbi, lanes, steps, seed, num_levels - 2)
+        _assert_bit_identical(viterbi, reps, levels)
 
 
 def test_unknown_backend_raises() -> None:
@@ -180,18 +230,62 @@ def test_unknown_backend_raises() -> None:
         kernels.resolve_backend("vectorblas")
 
 
-def test_auto_selection_prefers_accelerator_else_numpy() -> None:
-    expected = "numba" if kernels.numba_available() else "numpy"
+def test_auto_selection_prefers_accelerator_else_numpy(monkeypatch) -> None:
+    monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
+    compiler_present = shutil.which(kernels._compiler()[0]) is not None
+    expected = "c" if compiler_present else "numpy"
     assert kernels.resolve_backend("auto").name == expected
     assert kernels.resolve_backend(None).name == expected
 
 
+def test_no_compiler_auto_falls_back_and_explicit_c_raises(
+    tmp_path, monkeypatch
+) -> None:
+    """With no compiler and no cached library, ``auto`` is numpy and an
+    explicit ``c`` is a configuration error, never a silent fallback."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "empty-cache"))
+    monkeypatch.setattr(
+        kernels, "_compiler", lambda: [str(tmp_path / "no-such-cc")]
+    )
+    monkeypatch.setattr(kernels, "_RESOLVED", {})
+    monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
+    assert kernels.resolve_backend("auto").name == "numpy"
+    assert "c" not in kernels.available_backends()
+    with pytest.raises(ConfigurationError, match="not available"):
+        kernels.resolve_backend("c")
+
+
 @pytest.mark.skipif(
-    kernels.numba_available(), reason="numba installed; absence path untestable"
+    shutil.which(kernels._compiler()[0]) is None, reason="no C compiler"
 )
-def test_explicit_numba_without_numba_raises() -> None:
-    with pytest.raises(ConfigurationError, match="not .*available"):
-        kernels.resolve_backend("numba")
+def test_concurrent_builds_leave_one_loadable_library(tmp_path) -> None:
+    """Two processes building into one empty cache at once: both succeed,
+    one library remains, no temporary file is left, and it loads."""
+    env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path)}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(kernels.__file__).parents[2]),
+                      env.get("PYTHONPATH")])
+    )
+    script = (
+        "from repro.coding import kernels; "
+        "print(kernels.build_library())"
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(2)
+    ]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs), outputs
+    built = {out.strip() for out, _ in outputs}
+    assert len(built) == 1
+    assert sorted(p.name for p in (tmp_path / "kernels").iterdir()) == [
+        Path(built.pop()).name
+    ]
+    library = ctypes.CDLL(str(next((tmp_path / "kernels").iterdir())))
+    assert library.backtrace_radix4 is not None
 
 
 def test_env_var_selects_backend(monkeypatch) -> None:

@@ -12,6 +12,7 @@ from repro.cache import (
     code_fingerprint,
     default_cache_dir,
     get_default_cache,
+    source_fingerprint,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.pool import SweepCell, cell_for, cell_key, run_cell, run_cells
@@ -102,6 +103,26 @@ class TestCellKeys:
         assert len(fingerprint) == 64
         # Same cell, same code -> same address (stable across processes).
         assert cell_key(cell) == cell_key(SweepCell("wom", 768, 1, 11))
+
+
+    def test_kernel_source_change_changes_fingerprint(self, tmp_path) -> None:
+        """The C kernel is compiled from package source, so editing it must
+        invalidate cached results just like a ``.py`` edit."""
+        (tmp_path / "coding").mkdir()
+        (tmp_path / "coding" / "viterbi.py").write_text("x = 1\n")
+        kernel = tmp_path / "coding" / "viterbi_kernel.c"
+        kernel.write_text("int acs(void) { return 0; }\n")
+        before = source_fingerprint(tmp_path)
+        assert source_fingerprint(tmp_path) == before
+        kernel.write_text("int acs(void) { return 1; }\n")
+        assert source_fingerprint(tmp_path) != before
+
+    def test_installed_fingerprint_covers_kernel_source(self) -> None:
+        from repro.coding import kernels
+
+        root = kernels.C_SOURCE.parents[1]
+        assert kernels.C_SOURCE.is_file()
+        assert code_fingerprint() == source_fingerprint(root)
 
 
 class TestRunCells:
