@@ -19,7 +19,7 @@ from repro.cluster.router import ClusterClient
 from repro.errors import ConfigurationError
 from repro.obs.tracing import span as _span
 from repro.server.client import DEFAULT_CONNECT_TIMEOUT
-from repro.server.loadgen import LoadgenResult, _issue, _stream_kwargs, _Tally
+from repro.server.loadgen import LoadgenResult, _issue, _Tally
 from repro.workload import make_workload
 
 __all__ = ["run_cluster_closed_loop", "cluster_closed_loop"]
@@ -32,7 +32,6 @@ async def run_cluster_closed_loop(
     clients: int = 4,
     ops_per_client: int = 100,
     workload: str = "uniform",
-    read_fraction: float = 0.0,
     seed: int = 0,
     connect_timeout: float | None = DEFAULT_CONNECT_TIMEOUT,
     router: ClusterClient | None = None,
@@ -47,7 +46,6 @@ async def run_cluster_closed_loop(
     """
     if clients < 1 or ops_per_client < 1:
         raise ConfigurationError("need at least one client and one op")
-    kwargs = _stream_kwargs(read_fraction, workload_kwargs)
     owned = router is None
     if router is None:
         router = await ClusterClient.connect(
@@ -59,7 +57,7 @@ async def run_cluster_closed_loop(
 
         async def one_client(index: int) -> None:
             stream = make_workload(
-                workload, logical_pages, seed=seed + index, **kwargs
+                workload, logical_pages, seed=seed + index, **workload_kwargs
             )
             for _ in range(ops_per_client):
                 if not await _issue(router, tally, next(stream), bits):

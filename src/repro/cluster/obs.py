@@ -3,12 +3,13 @@
 Every shard worker already runs its own
 :class:`~repro.obs.http.ObsHttpServer` sidecar.  This module rolls the
 fleet up into one scrape surface: :class:`ClusterObsServer` periodically
-pulls each shard's ``/metrics`` and ``/healthz``, rewrites every sample
-with a ``shard="N"`` label (so ``repro_server_requests{shard="2"}``
-distinguishes workers the way PR 4's tenant labels distinguish tenants),
-merges the families into one exposition text alongside the router
-process's own ``repro_cluster_*`` instruments, and serves the result on
-the standard sidecar endpoints.
+pulls each shard's ``/debug/vars`` (whose ``registry`` entry is the
+shard's registry snapshot as JSON) and ``/healthz``, and renders its
+``/metrics`` with :func:`~repro.obs.export.to_prometheus` over the router
+process's own registry (unlabelled) plus every shard snapshot labelled
+``shard="N"`` — so ``repro_server_requests{shard="2"}`` distinguishes
+workers the way tenant labels distinguish tenants, with one ``# TYPE``
+line per family.  No exposition text is parsed anywhere.
 
 The scrape cache refreshes on a background task, not per request: the
 sidecar's request handlers are synchronous by design (they must never
@@ -21,24 +22,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-import re
 import time
 
 from repro.errors import ClusterError
 from repro.obs import registry as _metrics
 from repro.obs.export import to_prometheus
 from repro.obs.http import ObsHttpServer
+from repro.obs.registry import RegistrySnapshot
 
-__all__ = [
-    "ClusterObsServer",
-    "fetch",
-    "merge_prometheus",
-    "relabel_metrics",
-]
-
-#: One exposition sample line: name, optional {labels}, value.
-_SAMPLE_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{.*\})?\s+(\S+)$")
-_TYPE_RE = re.compile(r"^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (\w+)$")
+__all__ = ["ClusterObsServer", "fetch"]
 
 _SCRAPE_ERRORS = _metrics.counter("cluster.obs.scrape_errors")
 
@@ -81,84 +73,13 @@ async def fetch(
     return status, body
 
 
-def relabel_metrics(text: str, shard: int) -> str:
-    """Inject ``shard="N"`` into every sample of one shard's exposition."""
-    out: list[str] = []
-    label = f'shard="{shard}"'
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            out.append(line)
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            out.append(line)  # pass unknown lines through untouched
-            continue
-        name, labels, value = match.groups()
-        if labels:
-            merged = "{" + label + "," + labels[1:]
-        else:
-            merged = "{" + label + "}"
-        out.append(f"{name}{merged} {value}")
-    return "\n".join(out)
-
-
-def merge_prometheus(texts: list[str]) -> str:
-    """Merge exposition texts into one, with a single TYPE line per family.
-
-    Prometheus requires all samples of a family to sit together under one
-    ``# TYPE`` comment; concatenating shard dumps naively would repeat
-    the comment per shard and interleave families.  Families keep
-    first-seen order; samples keep per-shard order within a family.
-    """
-    kinds: dict[str, str] = {}
-    samples: dict[str, list[str]] = {}
-    order: list[str] = []
-
-    def family_of(name: str) -> str:
-        # Histogram series share their family's TYPE line.
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in kinds:
-                return name[: -len(suffix)]
-        return name
-
-    for text in texts:
-        for line in text.splitlines():
-            if not line:
-                continue
-            type_match = _TYPE_RE.match(line)
-            if type_match:
-                name, kind = type_match.groups()
-                if name not in kinds:
-                    kinds[name] = kind
-                    samples[name] = []
-                    order.append(name)
-                continue
-            if line.startswith("#"):
-                continue
-            sample = _SAMPLE_RE.match(line)
-            if sample is None:
-                continue
-            family = family_of(sample.group(1))
-            if family not in kinds:
-                kinds[family] = "untyped"
-                samples[family] = []
-                order.append(family)
-            samples[family].append(line)
-
-    lines: list[str] = []
-    for name in order:
-        lines.append(f"# TYPE {name} {kinds[name]}")
-        lines.extend(samples[name])
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 class ClusterObsServer(ObsHttpServer):
     """Fleet-wide scrape/health sidecar over per-shard obs endpoints.
 
     ``targets`` maps shard id -> its sidecar ``(host, port)``.  The
     local process registry (the router's ``cluster.*`` instruments) is
-    always exported live and unlabelled; shard dumps come from the
-    latest background sweep, each sample tagged ``shard="N"``.
+    always exported live and unlabelled; shard snapshots come from the
+    latest background sweep, each series tagged ``shard="N"``.
     """
 
     def __init__(
@@ -173,7 +94,7 @@ class ClusterObsServer(ObsHttpServer):
         self.targets = dict(targets)
         self.refresh_seconds = refresh_seconds
         self.scrape_timeout = scrape_timeout
-        self._shard_metrics: dict[int, str] = {}
+        self._shard_snapshots: dict[int, RegistrySnapshot] = {}
         self._shard_health: dict[int, dict] = {}
         self._last_sweep = 0.0
         self._refresh_task: asyncio.Task | None = None
@@ -201,17 +122,23 @@ class ClusterObsServer(ObsHttpServer):
             await self.refresh()
 
     async def refresh(self) -> None:
-        """One sweep: scrape every shard's /metrics and /healthz."""
+        """One sweep: fetch every shard's /debug/vars and /healthz."""
         for shard, (host, port) in self.targets.items():
             try:
                 status, body = await fetch(
-                    host, port, "/metrics", timeout=self.scrape_timeout
+                    host, port, "/debug/vars", timeout=self.scrape_timeout
                 )
                 if status != 200:
-                    raise ClusterError(f"/metrics returned {status}")
-                self._shard_metrics[shard] = relabel_metrics(
-                    body.decode("utf-8", "replace"), shard
-                )
+                    raise ClusterError(f"/debug/vars returned {status}")
+                try:
+                    snapshot = RegistrySnapshot.from_dict(
+                        json.loads(body)["registry"]
+                    )
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ClusterError(
+                        f"/debug/vars carries no registry snapshot: {exc}"
+                    ) from None
+                self._shard_snapshots[shard] = snapshot
                 status, body = await fetch(
                     host, port, "/healthz", timeout=self.scrape_timeout
                 )
@@ -228,14 +155,12 @@ class ClusterObsServer(ObsHttpServer):
     # -- endpoint overrides --------------------------------------------------
 
     def _metrics(self):
-        for collect in self._collectors:
-            collect()
-        local = to_prometheus(self.registry.snapshot(include_events=False))
-        merged = merge_prometheus(
-            [local]
-            + [self._shard_metrics[s] for s in sorted(self._shard_metrics)]
-        )
-        return 200, "text/plain; version=0.0.4", merged.encode("utf-8")
+        sources = [({}, self._live_snapshot())] + [
+            ({"shard": str(shard)}, self._shard_snapshots[shard])
+            for shard in sorted(self._shard_snapshots)
+        ]
+        text = to_prometheus(sources)
+        return 200, "text/plain; version=0.0.4", text.encode("utf-8")
 
     def _health_state(self) -> dict:
         shards = {

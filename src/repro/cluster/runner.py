@@ -238,6 +238,9 @@ def _bench(args: argparse.Namespace) -> int:
 def _bench_endpoints(
     args: argparse.Namespace, endpoints: dict[int, tuple[str, int]]
 ) -> int:
+    # The read mix is a workload parameter; unset, it stays out of the
+    # params so workloads without the knob accept the defaults.
+    params = {"read_fraction": args.read_fraction} if args.read_fraction else {}
     print(_HEADER)
     for clients in args.clients:
         result = asyncio.run(run_cluster_closed_loop(
@@ -246,9 +249,9 @@ def _bench_endpoints(
             clients=clients,
             ops_per_client=args.ops,
             workload=args.workload,
-            read_fraction=args.read_fraction,
             seed=args.seed,
             connect_timeout=args.connect_timeout,
+            **params,
         ))
         print(_result_row(result), flush=True)
     return 0

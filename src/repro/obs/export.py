@@ -12,18 +12,22 @@ Per-tenant instruments are registered internally under flat dotted names
 (``server.tenant3.requests``, ``loadgen.tenant0.latency_seconds``).  The
 exporter converts them to proper Prometheus label sets — one
 ``repro_server_tenant_requests{tenant="3"}`` family per metric instead of
-one family per tenant — so cluster rollups can aggregate across tenants
-with PromQL instead of regexes.  The old flat series are still emitted by
-default behind the ``REPRO_OBS_LEGACY_TENANT_METRICS`` deprecation flag
-(set it to ``0`` to drop them); they will disappear once downstream
-dashboards and the CI greps migrate to the labelled families.
+one family per tenant — so rollups aggregate across tenants with PromQL
+instead of regexes.
+
+Labelled sources
+----------------
+:func:`to_prometheus` also renders a list of ``(extra_labels, snapshot)``
+sources into one exposition, with one ``# TYPE`` line per family across
+all sources.  The cluster sidecar uses it to merge its own registry (no
+extra labels) with every shard's snapshot (``shard="N"``), so this module
+is the only place that writes the text format.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from pathlib import Path
 
@@ -44,12 +48,6 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 #: Flat per-tenant instrument names: ``<layer>.tenant<N>.<rest>``.
 _TENANT_RE = re.compile(r"^(server|loadgen)\.tenant(\d+)\.(.+)$")
-
-
-def _legacy_tenant_names_default() -> bool:
-    return os.environ.get(
-        "REPRO_OBS_LEGACY_TENANT_METRICS", "1"
-    ).lower() in ("1", "true", "yes", "on")
 
 
 def _metric_name(name: str) -> str:
@@ -105,58 +103,54 @@ def _as_snapshot(source) -> RegistrySnapshot:
     raise TypeError(f"cannot export {type(source).__name__}")
 
 
-def _group(names, legacy: bool):
-    """Group instrument names into (family, [(labels, name)]) series lists.
+def _group(sources, attr: str):
+    """Group one instrument kind of every source into Prometheus families.
 
-    Families keep first-seen order of the sorted flat names; with
-    ``legacy`` each labelled instrument *also* yields its original flat
-    single-series family, so old greps keep matching.
+    Returns ``{family: [(labels, value)]}`` in sorted order of the flat
+    instrument names; one name's series follow source order.
     """
-    families: dict[str, list[tuple[dict[str, str], str]]] = {}
-    for name in sorted(names):
+    tables = [(extra, getattr(snap, attr)) for extra, snap in sources]
+    families: dict[str, list[tuple[dict[str, str], object]]] = {}
+    for name in sorted({name for _, values in tables for name in values}):
         family, labels = _split_tenant(name)
-        families.setdefault(family, []).append((labels, name))
-        if labels and legacy:
-            families.setdefault(name, []).append(({}, name))
+        families.setdefault(family, []).extend(
+            ({**extra, **labels}, values[name])
+            for extra, values in tables if name in values
+        )
     return families
 
 
 def to_prometheus(
-    source: MetricsRegistry | RegistrySnapshot | None = None,
-    *,
-    legacy_tenant_names: bool | None = None,
+    source: MetricsRegistry | RegistrySnapshot | list | None = None,
 ) -> str:
-    """Render a registry (default: the process-global one) as Prometheus text.
+    """Render metrics as Prometheus text.
 
-    ``legacy_tenant_names`` controls whether flat per-tenant series
-    (``repro_server_tenant3_requests``) are emitted alongside the labelled
-    families; ``None`` reads the ``REPRO_OBS_LEGACY_TENANT_METRICS``
-    deprecation flag (default on).
+    ``source`` is a registry or snapshot (default: the process-global
+    registry), or a list of ``(extra_labels, snapshot)`` pairs whose
+    series are merged under one ``# TYPE`` line per family, each series
+    carrying its source's extra labels.
     """
-    if legacy_tenant_names is None:
-        legacy_tenant_names = _legacy_tenant_names_default()
-    snap = _as_snapshot(source)
+    if isinstance(source, list):
+        sources = source
+    else:
+        sources = [({}, _as_snapshot(source))]
     lines: list[str] = []
 
-    def emit_scalars(values: dict[str, float], kind: str) -> None:
-        for family, series in _group(values, legacy_tenant_names).items():
+    def emit_scalars(attr: str, kind: str) -> None:
+        for family, series in _group(sources, attr).items():
             metric = _metric_name(family)
             lines.append(f"# TYPE {metric} {kind}")
-            for labels, name in series:
+            for labels, value in series:
                 lines.append(
-                    f"{metric}{_labels_suffix(labels)} "
-                    f"{_format_value(values[name])}"
+                    f"{metric}{_labels_suffix(labels)} {_format_value(value)}"
                 )
 
-    emit_scalars(snap.counters, "counter")
-    emit_scalars(snap.gauges, "gauge")
-    for family, series in _group(
-        snap.histograms, legacy_tenant_names
-    ).items():
+    emit_scalars("counters", "counter")
+    emit_scalars("gauges", "gauge")
+    for family, series in _group(sources, "histograms").items():
         metric = _metric_name(family)
         lines.append(f"# TYPE {metric} histogram")
-        for labels, name in series:
-            hist = snap.histograms[name]
+        for labels, hist in series:
             cumulative = 0
             for upper, count in zip(hist.buckets, hist.counts):
                 cumulative += count

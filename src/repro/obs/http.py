@@ -21,7 +21,9 @@ Endpoints::
                   ``?name=`` filters by span name, ``?limit=`` bounds the
                   reply (default 1000)
     /debug/vars   config/build/registry introspection plus whatever the
-                  host process registered (server config, device, pool)
+                  host process registered (server config, device, pool);
+                  ``registry`` holds the live registry snapshot (no
+                  events) as JSON, refreshed exactly as for /metrics
 
 The server is deliberately not a framework: HTTP/1.0-style one request
 per connection, GET only, no TLS — it binds loopback by default and
@@ -85,7 +87,8 @@ class ObsHttpServer:
     :class:`~repro.obs.slo.SLOTracker` whose gauges refresh on every
     scrape; ``debug_vars`` is a callable returning extra ``/debug/vars``
     entries; ``collectors`` are zero-arg callables invoked before each
-    ``/metrics`` snapshot (e.g. refreshing point-in-time gauges).
+    registry snapshot that ``/metrics`` and ``/debug/vars`` serve (e.g.
+    refreshing point-in-time gauges).
     """
 
     def __init__(
@@ -215,13 +218,17 @@ class ObsHttpServer:
                         "/debug/vars"]}
         )
 
-    def _metrics(self) -> tuple[int, str, bytes]:
-        _SCRAPES.inc()
+    def _live_snapshot(self) -> _metrics.RegistrySnapshot:
+        """Refresh collectors and SLO gauges, then snapshot (no events)."""
         for collect in self._collectors:
             collect()
         if self.slo is not None:
             self.slo.update()
-        text = to_prometheus(self.registry.snapshot(include_events=False))
+        return self.registry.snapshot(include_events=False)
+
+    def _metrics(self) -> tuple[int, str, bytes]:
+        _SCRAPES.inc()
+        text = to_prometheus(self._live_snapshot())
         return 200, "text/plain; version=0.0.4", text.encode("utf-8")
 
     def _health_state(self) -> dict:
@@ -291,6 +298,7 @@ class ObsHttpServer:
         }
         if self._debug_vars is not None:
             info.update(self._debug_vars())
+        info["registry"] = self._live_snapshot().to_dict()
         return 200, "application/json", _json_bytes(info)
 
 

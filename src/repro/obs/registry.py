@@ -23,7 +23,10 @@ Cross-process aggregation
 into a plain picklable :class:`RegistrySnapshot`; :meth:`MetricsRegistry.merge`
 folds a snapshot back in (counters and histogram buckets sum, gauges take
 the max).  Sweep workers snapshot per cell and the parent merges, so
-``--jobs N`` reports the same totals as ``jobs=1``.
+``--jobs N`` reports the same totals as ``jobs=1``.  A snapshot also
+round-trips through JSON (:meth:`RegistrySnapshot.to_dict` /
+:meth:`RegistrySnapshot.from_dict`), which is how shard sidecars hand
+theirs to the cluster sidecar over HTTP.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "Counter",
@@ -240,6 +243,34 @@ class RegistrySnapshot:
     gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, HistogramSnapshot] = field(default_factory=dict)
     events: tuple[dict, ...] = ()
+
+    def to_dict(self) -> dict:
+        """JSON-ready form; :meth:`from_dict` inverts it."""
+        return {
+            "counters": dict(self.counters),
+            "gauges": dict(self.gauges),
+            "histograms": {
+                name: asdict(hist) for name, hist in self.histograms.items()
+            },
+            "events": list(self.events),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RegistrySnapshot":
+        """Rebuild a snapshot from :meth:`to_dict` output (JSON-decoded)."""
+        return cls(
+            counters=dict(data["counters"]),
+            gauges=dict(data["gauges"]),
+            histograms={
+                name: HistogramSnapshot(**dict(
+                    hist,
+                    buckets=tuple(hist["buckets"]),
+                    counts=tuple(hist["counts"]),
+                ))
+                for name, hist in data["histograms"].items()
+            },
+            events=tuple(data["events"]),
+        )
 
     def counter_deltas(self, earlier: "RegistrySnapshot") -> dict[str, float]:
         """Counter increments accumulated after ``earlier`` was captured."""

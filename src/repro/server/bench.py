@@ -80,7 +80,6 @@ class ServerBenchCell:
     clients: int = 1
     ops_per_client: int = 100
     rate: float | None = None     # open loop: offered ops/second
-    read_fraction: float = 0.0
     workload: str = "uniform"
     #: Workload parameters as sorted pairs (trace path, zipf theta, ...).
     workload_params: tuple[tuple[str, object], ...] = ()
@@ -118,7 +117,6 @@ class ServerBenchCell:
             "clients": self.clients,
             "ops_per_client": self.ops_per_client,
             "rate": self.rate,
-            "read_fraction": self.read_fraction,
             "workload": self.workload_spec.key_payload(),
             "tenants": self.tenants,
             "seed": self.seed,
@@ -171,7 +169,6 @@ class ServerBenchCell:
                     rate=rate,
                     total_ops=self.clients * self.ops_per_client,
                     workload=self.workload,
-                    read_fraction=self.read_fraction,
                     seed=self.seed,
                     tenants=self.tenants,
                     **params,
@@ -182,7 +179,6 @@ class ServerBenchCell:
                     clients=self.clients,
                     ops_per_client=self.ops_per_client,
                     workload=self.workload,
-                    read_fraction=self.read_fraction,
                     seed=self.seed,
                     tenants=self.tenants,
                     **params,

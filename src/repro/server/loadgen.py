@@ -14,9 +14,11 @@ Two loop disciplines, the standard pair from storage benchmarking:
   outstanding; offered load adapts to service capacity.  Concurrency is
   the knob; the coalescer sees up to ``clients`` writes per flush.
 * **open loop** — requests are issued on a fixed schedule (``rate`` per
-  second) regardless of completions, so queueing delay shows up in the
-  tail latencies instead of silently throttling the generator (avoiding
-  coordinated omission).  Against a server in ``admission="reject"`` mode
+  second) regardless of completions, and each request's latency runs
+  from its scheduled due time, so queueing delay — and any lag of the
+  generator behind its own schedule — shows up in the tail latencies
+  instead of silently throttling the generator (avoiding coordinated
+  omission).  Against a server in ``admission="reject"`` mode
   the shed requests are counted as ``busy``.
 
 Both loops are multi-tenant aware (``tenants=N``): closed-loop client
@@ -294,10 +296,20 @@ def _note_op(
 
 
 async def _issue(
-    client: StorageClient, tally: _Tally, op: Op, bits: int
+    client: StorageClient,
+    tally: _Tally,
+    op: Op,
+    bits: int,
+    start: float | None = None,
 ) -> bool:
-    """One timed request; returns False when the device is end-of-life."""
-    start = time.perf_counter()
+    """One timed request; returns False when the device is end-of-life.
+
+    ``start`` is the latency origin on the ``perf_counter`` clock
+    (default: now); the open loop passes each op's due time, so a
+    generator running behind its schedule counts the lateness.
+    """
+    if start is None:
+        start = time.perf_counter()
     sub = tally.bucket(op.tenant)
     try:
         if op.kind is OpKind.READ:
@@ -349,22 +361,6 @@ async def _fetch_geometry(
     return info["logical_pages"], info["dataword_bits"]
 
 
-def _stream_kwargs(read_fraction: float, workload_kwargs: dict) -> dict:
-    """Fold the legacy ``read_fraction`` knob into workload parameters.
-
-    Kind mixing lives in the workload layer now (the op stream decides
-    READ vs WRITE), so the flag becomes the synthetic distributions'
-    ``read_fraction`` parameter.  Trace workloads take their kinds from
-    the trace itself and reject the parameter via the registry.
-    """
-    if not 0 <= read_fraction <= 1:
-        raise ConfigurationError("read_fraction must lie in [0, 1]")
-    kwargs = dict(workload_kwargs)
-    if read_fraction:
-        kwargs["read_fraction"] = read_fraction
-    return kwargs
-
-
 async def run_closed_loop(
     host: str,
     port: int,
@@ -372,7 +368,6 @@ async def run_closed_loop(
     clients: int = 4,
     ops_per_client: int = 100,
     workload: str = "uniform",
-    read_fraction: float = 0.0,
     seed: int = 0,
     tenants: int = 1,
     connect_timeout: float | None = DEFAULT_CONNECT_TIMEOUT,
@@ -392,29 +387,26 @@ async def run_closed_loop(
         raise ConfigurationError(
             "tenants must lie in [1, clients] (each tenant needs a client)"
         )
-    kwargs = _stream_kwargs(read_fraction, workload_kwargs)
     logical_pages, bits = await _fetch_geometry(
         host, port, timeout=connect_timeout
     )
     tally = _Tally()
 
     async def one_client(index: int) -> None:
+        tenant = index % tenants
         if tenants > 1:
-            tenant = index % tenants
             stream = make_workload(
                 workload, logical_pages,
-                seed=derive_child_seed(seed, index), tenant=tenant, **kwargs,
-            )
-            client = await StorageClient.connect(
-                host, port, tenant=tenant, timeout=connect_timeout
+                seed=derive_child_seed(seed, index), tenant=tenant,
+                **workload_kwargs,
             )
         else:
             stream = make_workload(
-                workload, logical_pages, seed=seed + index, **kwargs
+                workload, logical_pages, seed=seed + index, **workload_kwargs
             )
-            client = await StorageClient.connect(
-                host, port, timeout=connect_timeout
-            )
+        client = await StorageClient.connect(
+            host, port, tenant=tenant, timeout=connect_timeout
+        )
         async with client:
             for _ in range(ops_per_client):
                 if not await _issue(client, tally, next(stream), bits):
@@ -436,7 +428,6 @@ async def run_open_loop(
     rate: float,
     total_ops: int = 100,
     workload: str = "uniform",
-    read_fraction: float = 0.0,
     seed: int = 0,
     tenants: int = 1,
     connect_timeout: float | None = DEFAULT_CONNECT_TIMEOUT,
@@ -461,7 +452,6 @@ async def run_open_loop(
         raise ConfigurationError("need at least one op")
     if tenants < 1:
         raise ConfigurationError("need at least one tenant")
-    kwargs = _stream_kwargs(read_fraction, workload_kwargs)
     logical_pages, bits = await _fetch_geometry(
         host, port, timeout=connect_timeout
     )
@@ -469,19 +459,19 @@ async def run_open_loop(
     if tenants > 1:
         stream: Workload = make_workload(
             "mixed", logical_pages, seed=seed,
-            base=workload, tenants=tenants, **kwargs,
+            base=workload, tenants=tenants, **workload_kwargs,
         )
     else:
-        stream = make_workload(workload, logical_pages, seed=seed, **kwargs)
+        stream = make_workload(
+            workload, logical_pages, seed=seed, **workload_kwargs
+        )
     clients: dict[int, StorageClient] = {}
     with _span("loadgen.run", mode="open", rate=rate, total_ops=total_ops,
                tenants=tenants):
         try:
             for tenant in range(tenants):
                 clients[tenant] = await StorageClient.connect(
-                    host, port,
-                    tenant=tenant if tenants > 1 else None,
-                    timeout=connect_timeout,
+                    host, port, tenant=tenant, timeout=connect_timeout
                 )
             start = time.perf_counter()
             tasks = []
@@ -490,9 +480,9 @@ async def run_open_loop(
                 if delay > 0:
                     await asyncio.sleep(delay)
                 op = next(stream)
-                tasks.append(asyncio.ensure_future(
-                    _issue(clients[op.tenant], tally, op, bits)
-                ))
+                tasks.append(asyncio.ensure_future(_issue(
+                    clients[op.tenant], tally, op, bits, start + k / rate
+                )))
             await asyncio.gather(*tasks)
             wall = time.perf_counter() - start
         finally:

@@ -190,13 +190,16 @@ def _workload_choice(args: argparse.Namespace) -> tuple[str, dict]:
     """Resolve the bench workload flags into (registry name, parameters)."""
     if args.trace and args.phase:
         raise ConfigurationError("--trace and --phase are mutually exclusive")
+    # A nonzero --read-fraction becomes a workload parameter; the trace
+    # workload takes its op kinds from the trace and rejects it.
+    params = {"read_fraction": args.read_fraction} if args.read_fraction else {}
     if args.trace:
         return "trace", {
-            "path": args.trace, "page_bytes": args.trace_page_bytes,
+            "path": args.trace, "page_bytes": args.trace_page_bytes, **params,
         }
     if args.phase:
-        return "phased", {"schedule": parse_phase_spec(args.phase)}
-    return args.workload, {}
+        return "phased", {"schedule": parse_phase_spec(args.phase), **params}
+    return args.workload, params
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -472,7 +475,6 @@ def _bench_connect(args: argparse.Namespace) -> int:
                 rate=args.rate,
                 total_ops=clients * args.ops,
                 workload=workload,
-                read_fraction=args.read_fraction,
                 seed=args.seed,
                 tenants=args.tenants,
                 connect_timeout=args.connect_timeout,
@@ -484,7 +486,6 @@ def _bench_connect(args: argparse.Namespace) -> int:
                 clients=clients,
                 ops_per_client=args.ops,
                 workload=workload,
-                read_fraction=args.read_fraction,
                 seed=args.seed,
                 tenants=args.tenants,
                 connect_timeout=args.connect_timeout,
@@ -510,7 +511,6 @@ def _bench_loopback(args: argparse.Namespace) -> int:
             clients=clients,
             ops_per_client=args.ops,
             rate=args.rate if args.mode == "open" else None,
-            read_fraction=args.read_fraction,
             workload=workload,
             workload_params=tuple(sorted(params.items())),
             tenants=args.tenants,

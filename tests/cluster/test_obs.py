@@ -1,90 +1,94 @@
-"""Cluster telemetry: relabel/merge units plus a live scrape round-trip."""
+"""Cluster telemetry: shard-labelled snapshot merge plus a live scrape."""
 
 from __future__ import annotations
 
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
-from repro.cluster.obs import (
-    ClusterObsServer,
-    fetch,
-    merge_prometheus,
-    relabel_metrics,
-)
+from repro.cluster.obs import ClusterObsServer, fetch
 from repro.errors import ClusterError
 from repro.flash.geometry import FlashGeometry
 from repro.obs import registry as _metrics
+from repro.obs.export import to_prometheus
 from repro.obs.http import ObsHttpServer
+from repro.obs.registry import TIME_BUCKETS, MetricsRegistry, RegistrySnapshot
+from repro.server.client import StorageClient
 from repro.server.service import ServerConfig, StorageService
 from repro.ssd.device import SSD
+
+from tests.obs.test_export import check_exposition
+
+
+def _shard_snapshot(requests: int) -> RegistrySnapshot:
+    registry = MetricsRegistry(enabled=True)
+    registry.counter("server.requests").inc(requests)
+    registry.gauge("server.queue_depth").set(requests + 1)
+    registry.histogram("server.latency_seconds", TIME_BUCKETS).observe(0.002)
+    registry.counter("server.tenant3.requests").inc(7)
+    return registry.snapshot(include_events=False)
+
+
+def _merged() -> str:
+    return to_prometheus([
+        ({"shard": "0"}, _shard_snapshot(1)),
+        ({"shard": "1"}, _shard_snapshot(2)),
+    ])
 
 
 class TestRelabel:
     def test_plain_sample_gains_shard_label(self) -> None:
-        text = "# TYPE repro_server_requests counter\nrepro_server_requests 42"
-        out = relabel_metrics(text, 2)
-        assert 'repro_server_requests{shard="2"} 42' in out
-        assert "# TYPE repro_server_requests counter" in out
+        out = _merged()
+        assert 'repro_server_requests{shard="0"} 1' in out
+        assert 'repro_server_requests{shard="1"} 2' in out
+        assert 'repro_server_queue_depth{shard="1"} 3' in out
 
     def test_existing_labels_are_preserved(self) -> None:
-        text = 'repro_server_tenant_requests{tenant="3"} 7'
-        out = relabel_metrics(text, 0)
-        assert out == (
-            'repro_server_tenant_requests{shard="0",tenant="3"} 7'
+        assert (
+            'repro_server_tenant_requests{shard="1",tenant="3"} 7'
+            in _merged().splitlines()
         )
 
     def test_histogram_series_labelled(self) -> None:
-        text = (
-            'repro_server_latency_seconds_bucket{le="0.1"} 5\n'
-            "repro_server_latency_seconds_sum 0.4\n"
-            "repro_server_latency_seconds_count 5"
+        out = _merged().splitlines()
+        assert (
+            'repro_server_latency_seconds_bucket{le="0.01",shard="1"} 1'
+            in out
         )
-        out = relabel_metrics(text, 1).splitlines()
-        assert out[0] == (
-            'repro_server_latency_seconds_bucket{shard="1",le="0.1"} 5'
-        )
-        assert out[1] == 'repro_server_latency_seconds_sum{shard="1"} 0.4'
+        assert 'repro_server_latency_seconds_sum{shard="1"} 0.002' in out
+        assert 'repro_server_latency_seconds_count{shard="0"} 1' in out
 
 
 class TestMerge:
     def test_one_type_line_per_family(self) -> None:
-        shard0 = relabel_metrics(
-            "# TYPE repro_server_requests counter\nrepro_server_requests 1",
-            0,
-        )
-        shard1 = relabel_metrics(
-            "# TYPE repro_server_requests counter\nrepro_server_requests 2",
-            1,
-        )
-        merged = merge_prometheus([shard0, shard1])
-        lines = merged.splitlines()
+        lines = _merged().splitlines()
         assert lines.count("# TYPE repro_server_requests counter") == 1
-        assert 'repro_server_requests{shard="0"} 1' in lines
-        assert 'repro_server_requests{shard="1"} 2' in lines
         # All samples of the family sit directly under its TYPE line.
         at = lines.index("# TYPE repro_server_requests counter")
-        assert set(lines[at + 1:at + 3]) == {
+        assert lines[at + 1:at + 3] == [
             'repro_server_requests{shard="0"} 1',
             'repro_server_requests{shard="1"} 2',
-        }
+        ]
 
     def test_histogram_suffixes_fold_into_family(self) -> None:
-        text = (
-            "# TYPE repro_lat histogram\n"
-            'repro_lat_bucket{le="+Inf"} 3\n'
-            "repro_lat_sum 0.9\n"
-            "repro_lat_count 3"
-        )
-        merged = merge_prometheus([relabel_metrics(text, s) for s in (0, 1)])
-        assert merged.splitlines().count("# TYPE repro_lat histogram") == 1
-        assert 'repro_lat_sum{shard="1"} 0.9' in merged
+        text = _merged()
+        assert text.count("# TYPE repro_server_latency_seconds histogram") == 1
+        assert 'repro_server_latency_seconds_sum{shard="0"} 0.002' in text
 
-    def test_untyped_samples_pass_through(self) -> None:
-        merged = merge_prometheus(["mystery_metric 7"])
-        assert "# TYPE mystery_metric untyped" in merged
-        assert "mystery_metric 7" in merged
+    def test_two_labelled_sources_are_well_formed(self) -> None:
+        """Counters, gauges, histograms and tenant series from two shards
+        plus an unlabelled local source render as valid exposition."""
+        local = MetricsRegistry(enabled=True)
+        local.counter("cluster.writes").inc(5)
+        text = to_prometheus([({}, local.snapshot())] + [
+            ({"shard": str(n)}, _shard_snapshot(n + 1)) for n in (0, 1)
+        ])
+        check_exposition(text)
+        assert "repro_cluster_writes 5" in text.splitlines()
+        for kind in ("counter", "gauge", "histogram"):
+            assert f" {kind}\n" in text
 
 
 def _make_service() -> StorageService:
@@ -110,6 +114,13 @@ class TestClusterObsServer:
                 sidecar = ObsHttpServer(service=service)
                 await sidecar.start(port=0)
                 sidecars.append(sidecar)
+                # One served write, so the shard has histograms to export.
+                async with await StorageClient.connect(
+                    "127.0.0.1", service.port
+                ) as client:
+                    await client.write(0, np.zeros(
+                        service.ssd.logical_page_bits, dtype=np.uint8
+                    ))
             targets = {
                 index: ("127.0.0.1", sidecar.port)
                 for index, sidecar in enumerate(sidecars)
@@ -144,6 +155,18 @@ class TestClusterObsServer:
 
         metrics, healthy, degraded = asyncio.run(go())
         assert 'shard="0"' in metrics and 'shard="1"' in metrics
+        check_exposition(metrics)
+        # Every shard's histogram families arrive with their shard label.
+        histograms = [
+            line.split()[2] for line in metrics.splitlines()
+            if line.startswith("# TYPE") and line.endswith(" histogram")
+        ]
+        assert "repro_server_request_seconds" in histograms
+        for family in histograms:
+            for shard in ("0", "1"):
+                assert (
+                    f'{family}_bucket{{le="+Inf",shard="{shard}"}}' in metrics
+                ), family
         # The local (router-process) registry is exported unlabelled —
         # the /metrics requests this test itself made are counted there.
         assert "\nrepro_obs_http_requests " in "\n" + metrics

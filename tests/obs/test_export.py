@@ -69,7 +69,7 @@ class TestTenantLabels:
         return registry
 
     def test_flat_names_become_labelled_families(self, tenants):
-        text = to_prometheus(tenants, legacy_tenant_names=False)
+        text = to_prometheus(tenants)
         assert 'repro_server_tenant_requests{tenant="0"} 8' in text
         assert 'repro_server_tenant_requests{tenant="3"} 2' in text
         assert 'repro_loadgen_tenant_busy{tenant="1"} 5' in text
@@ -79,63 +79,60 @@ class TestTenantLabels:
         assert "repro_server_tenant3_requests" not in text
 
     def test_histograms_carry_the_tenant_label_too(self, tenants):
-        text = to_prometheus(tenants, legacy_tenant_names=False)
+        text = to_prometheus(tenants)
         assert (
             'repro_server_tenant_latency_seconds_bucket'
             '{le="1e-05",tenant="0"} 0' in text
         )
         assert 'repro_server_tenant_latency_seconds_count{tenant="0"} 1' in text
 
-    def test_legacy_flag_keeps_flat_series(self, tenants):
-        text = to_prometheus(tenants, legacy_tenant_names=True)
-        # Both shapes coexist during the deprecation window.
-        assert 'repro_server_tenant_requests{tenant="3"} 2' in text
-        assert "repro_server_tenant3_requests 2" in text
-        assert "# TYPE repro_server_tenant3_requests counter" in text
-
-    def test_legacy_default_comes_from_env(self, tenants, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_LEGACY_TENANT_METRICS", "0")
-        assert "repro_server_tenant3_requests" not in to_prometheus(tenants)
-        monkeypatch.setenv("REPRO_OBS_LEGACY_TENANT_METRICS", "1")
-        assert "repro_server_tenant3_requests 2" in to_prometheus(tenants)
-
     def test_non_tenant_names_are_untouched(self, tenants):
         tenants.counter("server.requests").inc(10)
-        text = to_prometheus(tenants, legacy_tenant_names=False)
+        text = to_prometheus(tenants)
         assert "repro_server_requests 10" in text
         assert 'repro_server_requests{' not in text
+
+
+_SERIES = re.compile(
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"          # metric name
+    r'(?:\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'  # first label
+    r'(?:,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})?'  # more labels
+    r" (?:[0-9.e+-]+|\+Inf|-Inf|NaN)$"     # value
+)
+_TYPE = re.compile(
+    r"^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (?:counter|gauge|histogram)$"
+)
+
+
+def check_exposition(text: str) -> None:
+    """Assert ``text`` is valid Prometheus text exposition.
+
+    Every line is a TYPE comment or a sample, no family is TYPE-declared
+    twice, and every sample sits in the block of its family's TYPE line.
+    """
+    families = []
+    for line in text.splitlines():
+        if line.startswith("# TYPE"):
+            assert _TYPE.match(line), line
+            families.append(line.split()[2])
+        else:
+            assert _SERIES.match(line), line
+            name = line.split("{")[0].split(" ")[0]
+            assert families and name in {
+                families[-1] + suffix
+                for suffix in ("", "_bucket", "_sum", "_count")
+            }, line
+    assert len(families) == len(set(families))
 
 
 class TestStrictFormat:
     """Every emitted line must be valid Prometheus text exposition."""
 
-    _SERIES = re.compile(
-        r"^[a-zA-Z_:][a-zA-Z0-9_:]*"          # metric name
-        r'(?:\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'  # first label
-        r'(?:,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})?'  # more labels
-        r" (?:[0-9.e+-]+|\+Inf|-Inf|NaN)$"     # value
-    )
-    _TYPE = re.compile(
-        r"^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (?:counter|gauge|histogram)$"
-    )
-
-    def _check(self, text: str) -> None:
-        families = []
-        for line in text.splitlines():
-            if line.startswith("# TYPE"):
-                assert self._TYPE.match(line), line
-                families.append(line.split()[2])
-            else:
-                assert self._SERIES.match(line), line
-        # A family must not be TYPE-declared twice.
-        assert len(families) == len(set(families))
-
     def test_mixed_registry_is_well_formed(self, registry):
         registry.counter("server.tenant0.requests").inc(4)
         registry.counter("server.tenant1.requests").inc(4)
         registry.gauge("slo.availability.burn_rate_fast").set(1.5)
-        self._check(to_prometheus(registry, legacy_tenant_names=True))
-        self._check(to_prometheus(registry, legacy_tenant_names=False))
+        check_exposition(to_prometheus(registry))
 
     def test_label_values_are_escaped(self):
         from repro.obs.export import _escape_label_value

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.http import ObsHttpServer, parse_trace_id
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, RegistrySnapshot
 from repro.obs.slo import SLOTracker
 from repro.obs.tracing import span
 
@@ -179,6 +179,28 @@ class TestEndpoints:
         assert payload["scheme"] == "mfc"
         assert payload["obs"]["enabled"] is True
         assert payload["pid"] > 0
+
+    def test_debug_vars_carries_refreshed_registry_snapshot(self, registry):
+        registry.counter("server.requests").inc(4)
+        registry.histogram("server.request_seconds", (0.1, 1.0)).observe(0.5)
+        collected = registry.gauge("durability.fsync_lag_seconds")
+        with span("server.request", registry=registry):
+            pass
+
+        async def go():
+            server = ObsHttpServer(
+                registry=registry, collectors=(lambda: collected.set(2),)
+            )
+            async with server:
+                return await get(server, "/debug/vars")
+
+        _, _, body = asyncio.run(go())
+        snap = RegistrySnapshot.from_dict(json.loads(body)["registry"])
+        assert snap.counters["server.requests"] == 4
+        # The collector ran before the snapshot, exactly as for /metrics.
+        assert snap.gauges["durability.fsync_lag_seconds"] == 2
+        assert snap.histograms["server.request_seconds"].count == 1
+        assert snap.events == ()
 
     def test_unknown_route_404_and_post_405(self, registry):
         async def go():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -94,6 +95,17 @@ class TestSnapshotMerge:
         assert restored.gauges == {"g": 2}
         assert restored.histograms["h"].count == 1
         assert len(restored.events) == 1
+
+    def test_snapshot_round_trips_through_json(self, registry):
+        registry.counter("c").inc(3)
+        registry.gauge("g").set(2.5)
+        registry.histogram("h", (1.0, 10.0)).observe(5)
+        registry.record_event({"name": "s", "dur": 0.1})
+        snap = registry.snapshot()
+        restored = obs.RegistrySnapshot.from_dict(
+            json.loads(json.dumps(snap.to_dict()))
+        )
+        assert restored == snap
 
     def test_merge_sums_counters_and_histograms(self, registry):
         registry.counter("c").inc(3)

@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import registry as obs_registry
-from repro.server import ServerConfig, StorageService, make_workload
+from repro.server import ServerConfig, StorageService, make_workload, protocol
 from repro.server.loadgen import (
     WORKLOADS,
     _percentile,
     run_closed_loop,
     run_open_loop,
 )
-from repro.ssd.workload import UniformWorkload
+from repro.server.protocol import Opcode, Response, Status
+from repro.workload import UniformWorkload
 
 from tests.server.test_service import make_ssd
 
@@ -113,8 +115,9 @@ class TestClosedLoop:
     def test_validation(self) -> None:
         with pytest.raises(ConfigurationError):
             asyncio.run(run_closed_loop("127.0.0.1", 1, clients=0))
+        # The read mix is the workload's own parameter, range-checked there.
         with pytest.raises(ConfigurationError):
-            asyncio.run(run_closed_loop("127.0.0.1", 1, read_fraction=1.5))
+            make_workload("uniform", 16, seed=1, read_fraction=1.5)
 
 
 class TestOpenLoop:
@@ -148,3 +151,45 @@ class TestOpenLoop:
             asyncio.run(run_open_loop("127.0.0.1", 1, rate=0.0))
         with pytest.raises(ConfigurationError):
             asyncio.run(run_open_loop("127.0.0.1", 1, rate=10, total_ops=0))
+
+    def test_latency_counts_lateness_behind_schedule(self) -> None:
+        """A generator stalled behind its schedule must not omit the
+        backlog: each op's latency runs from its due time, not from when
+        the late generator got round to sending it."""
+        stall_seconds = 0.4
+
+        async def fake_server(reader, writer) -> None:
+            stalled = False
+            while (body := await protocol.read_frame(reader)) is not None:
+                request = protocol.decode_request(body)
+                response = Response(Status.OK, request.request_id)
+                if request.opcode is Opcode.HELLO:
+                    response = Response(Status.OK, request.request_id,
+                                        version=protocol.PROTO_VERSION)
+                elif request.opcode is Opcode.STAT:
+                    response = Response(
+                        Status.OK, request.request_id,
+                        stat={"logical_pages": 16, "dataword_bits": 8},
+                    )
+                elif not stalled:
+                    # Block the whole event loop once, generator included,
+                    # so the open-loop schedule falls behind.
+                    stalled = True
+                    time.sleep(stall_seconds)
+                writer.write(protocol.encode_response(response))
+            writer.close()
+
+        async def go():
+            server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                return await run_open_loop(
+                    "127.0.0.1", port, rate=20.0, total_ops=8, seed=1
+                )
+
+        result = asyncio.run(go())
+        assert result.ops == 8 and result.errors == 0
+        # Ops 1..7 were due 50..350 ms into the run but went out after the
+        # 400 ms stall: each waited 50..350 ms behind schedule.
+        assert result.p50_ms >= 100.0
+        assert result.max_ms >= stall_seconds * 1e3

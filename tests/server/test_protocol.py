@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
-from repro.server import protocol
+from repro.server import StorageService, protocol
 from repro.server.protocol import Opcode, Request, Response, Status
+
+from tests.server.test_service import make_ssd
 
 
 def _bits(n: int, seed: int = 0) -> np.ndarray:
@@ -236,13 +238,48 @@ class TestVersionNegotiation:
         assert back.tenant == 3
         assert back.version == protocol.PROTO_VERSION
 
-    def test_v0_hello_is_still_two_bytes(self) -> None:
+    def test_two_byte_hello_rejected(self) -> None:
+        wire = _body(protocol.encode_request(Request(Opcode.HELLO, 4, tenant=2)))
+        assert len(wire) == 1 + 4 + 4  # opcode + request_id + tenant + version
+        with pytest.raises(ProtocolError, match="HELLO"):
+            protocol.decode_request(wire[:-2])
+
+    def test_hello_offering_version_zero_rejected(self) -> None:
         wire = _body(protocol.encode_request(
             Request(Opcode.HELLO, 4, tenant=2, version=0)
         ))
-        assert len(wire) == 1 + 4 + 2  # opcode + request_id + u16 tenant
-        back = protocol.decode_request(wire)
-        assert back.tenant == 2 and back.version == 0
+        with pytest.raises(ProtocolError, match="version"):
+            protocol.decode_request(wire)
+
+    def test_two_byte_hello_gets_bad_request_and_stream_stays_aligned(
+        self,
+    ) -> None:
+        async def go():
+            async with StorageService(make_ssd()) as service:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port
+                )
+                # opcode HELLO, request id 7, u16 tenant only.
+                writer.write(protocol.frame(
+                    bytes([Opcode.HELLO]) + (7).to_bytes(4, "big")
+                    + (0).to_bytes(2, "big")
+                ))
+                writer.write(protocol.encode_request(Request(Opcode.STAT, 8)))
+                await writer.drain()
+                hello = protocol.decode_response(
+                    await protocol.read_frame(reader), expect=Opcode.HELLO
+                )
+                stat = protocol.decode_response(
+                    await protocol.read_frame(reader), expect=Opcode.STAT
+                )
+                writer.close()
+                await writer.wait_closed()
+                return hello, stat
+
+        hello, stat = asyncio.run(go())
+        assert hello.status is Status.BAD_REQUEST and hello.request_id == 7
+        assert stat.status is Status.OK and stat.request_id == 8
+        assert stat.stat["logical_pages"] > 0
 
     def test_hello_with_odd_payload_rejected(self) -> None:
         good = _body(protocol.encode_request(
@@ -258,12 +295,10 @@ class TestVersionNegotiation:
         )
         assert back.version == 1
 
-    def test_empty_hello_response_means_v0_server(self) -> None:
-        back = protocol.decode_response(
-            _body(protocol.encode_response(Response(Status.OK, 7))),
-            expect=Opcode.HELLO,
-        )
-        assert back.version == 0
+    def test_empty_hello_response_rejected(self) -> None:
+        body = _body(protocol.encode_response(Response(Status.OK, 7)))
+        with pytest.raises(ProtocolError, match="HELLO"):
+            protocol.decode_response(body, expect=Opcode.HELLO)
 
     def test_hello_response_with_junk_payload_rejected(self) -> None:
         body = _body(protocol.encode_response(Response(Status.OK, 7, version=1)))

@@ -37,36 +37,6 @@ class TestNegotiation:
 
         assert asyncio.run(go()) == PROTO_VERSION == 1
 
-    def test_legacy_hello_stays_at_v0_and_untraced(self) -> None:
-        registry = obs_registry.get_registry()
-        registry.enabled = True
-
-        async def go():
-            ssd = make_ssd()
-            async with StorageService(ssd) as service:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", service.port
-                )
-                client = StorageClient(reader, writer)
-                try:
-                    await client.hello(0, version=0)
-                    await client.write(
-                        0, np.zeros(ssd.logical_page_bits, dtype=np.uint8)
-                    )
-                    return client.proto_version, client.last_trace_id
-                finally:
-                    await client.close()
-
-        version, last_trace_id = asyncio.run(go())
-        assert version == 0
-        assert last_trace_id == 0
-        # The server still served the op — just without a wire trace id.
-        traced = [
-            e for e in registry.events
-            if e["name"] == "server.request" and e.get("trace_id")
-        ]
-        assert traced == []
-
 
 class TestPropagation:
     def test_one_trace_id_stitches_client_to_flush(self) -> None:

@@ -13,7 +13,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.noise import WearNoiseModel
 from repro.ssd.device import SSD
 from repro.ssd.simulator import run_until_death
-from repro.ssd.workload import UniformWorkload
+from repro.workload import UniformWorkload
 
 GEOMETRY = FlashGeometry(
     blocks=12, pages_per_block=8, page_bits=64, erase_limit=200

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.flash import FlashGeometry
-from repro.ssd import SSD, UniformWorkload, run_until_death
+from repro.ssd import SSD, run_until_death
+from repro.workload import UniformWorkload
 from repro.ssd.performance import NandTimings, analyze_performance
 
 GEOM = FlashGeometry(blocks=6, pages_per_block=4, page_bits=192, erase_limit=2000)

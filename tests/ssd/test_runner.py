@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ssd import save_trace
+from repro.workload import save_trace
 from repro.ssd.runner import main
 
 

@@ -7,7 +7,7 @@ import io
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.ssd import (
+from repro.workload import (
     TraceWorkload,
     UniformWorkload,
     load_trace,

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.ssd import (
+from repro.workload import (
     HotColdWorkload,
+    OpKind,
     SequentialWorkload,
     UniformWorkload,
     ZipfWorkload,
 )
-from repro.workload import OpKind
 
 
 class TestUniform:
